@@ -263,6 +263,10 @@ fn main() {
         "num_drops": sizes.num_drops,
         "workers": sizes.workers,
         "machine_cores": cores,
+        // The stage balance behind the model depends on the peel kernel
+        // (IFMA shrinks peel, not noise generation): compare only runs
+        // whose kernels match.
+        "peel_kernel": vuvuzela_crypto::x25519::batch_kernel(),
         "sequential": {
             "wall_secs": seq_wall,
             "rounds_per_sec": seq_rate,

@@ -23,9 +23,12 @@
 //! forward-pass time at the first — noising — server, the §8.2 unit of
 //! server work), heap allocations per onion (counting global allocator),
 //! and the full three-hop forward-pass time. A separate `peel` section
-//! isolates the onion-peeling stage itself and prices the 4-wide
-//! `Fe4` Montgomery ladder against both the scalar-ladder chunk path it
-//! replaced and the seed-era per-slot peel (see [`run_peel_stage`]).
+//! isolates the onion-peeling stage itself and prices the batch ladder
+//! kernel this CPU runs (`peel_kernel`: eight-lane AVX-512 IFMA or
+//! four-wide `Fe4`) against both the scalar-ladder chunk path and the
+//! seed-era per-slot peel (see `vuvuzela_bench::peelstage`). A run on a CPU
+//! with IFMA and one without do not compare; keep the committed
+//! artefact on the kernel CI runs.
 //! Written to `BENCH_round_pipeline.json` at the workspace root for the
 //! perf trajectory; regenerate with
 //! `cargo run --release -p vuvuzela-bench --bin bench_round_pipeline`.

@@ -10,23 +10,27 @@
 //! * **chunk reference** (`onion::peel_chunk_in_place_reference`): the
 //!   PR 2/PR 3 committed hot path — scalar ladders, inversions batched
 //!   across each chunk;
-//! * **batched** (`onion::peel_chunk_in_place`): the 4-wide
-//!   [`vuvuzela_crypto::fe4::Fe4`] Montgomery ladder plus the same
-//!   batched inversions — what every mix hop runs per worker chunk.
+//! * **batched** (`onion::peel_chunk_in_place`): the batch ladder
+//!   kernel this CPU runs — eight lanes per AVX-512 IFMA call where the
+//!   CPU has IFMA, four per [`vuvuzela_crypto::fe4::Fe4`] call
+//!   otherwise — plus the same batched inversions: what every mix hop
+//!   runs per worker chunk.
 //!
 //! All paths are asserted byte-identical before any timing; best-of-N
-//! wall-clock is reported. `speedup_peel_batched` (batched ÷ chunk
-//! reference) prices the 4-wide ladder against the previously committed
-//! implementation and rides the `bench_diff` regression gate;
-//! `speedup_peel_vs_per_slot` prices the whole batching stack against
-//! the seed path.
+//! wall-clock is reported. `peel_kernel` records which batch kernel ran
+//! (`"ifma8"` or `"fe4"`, from `x25519::batch_kernel`): the batched
+//! numbers of two artefacts compare only when their kernels match.
+//! `speedup_peel_batched` (batched ÷ chunk reference) prices the batch
+//! ladder against the scalar chunk path and rides the `bench_diff`
+//! regression gate; `speedup_peel_vs_per_slot` prices the whole
+//! batching stack against the seed path.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vuvuzela_crypto::onion;
-use vuvuzela_crypto::x25519::Keypair;
+use vuvuzela_crypto::x25519::{self, Keypair};
 
 /// Payload size wrapped into each benchmark onion (a realistic
 /// conversation-message scale; the exact value only shifts the AEAD
@@ -134,12 +138,13 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
     }
     let reference = onions as f64 / best[0];
     let batched = onions as f64 / best[1];
+    let kernel = x25519::batch_kernel();
 
     if include_per_slot {
         let per_slot = onions as f64 / best[2];
         println!(
             "peel: per-slot {per_slot:>8.0} onions/s   chunk-ref {reference:>8.0} onions/s   \
-             batched {batched:>8.0} onions/s"
+             batched ({kernel}) {batched:>8.0} onions/s"
         );
         println!(
             "peel speedups: batched vs chunk-ref {:.2}x, vs per-slot {:.2}x",
@@ -150,6 +155,7 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
             "onions": onions,
             "layer_width_bytes": width,
             "iterations": iterations,
+            "peel_kernel": kernel,
             "per_slot_onions_per_sec": per_slot,
             "chunk_reference_onions_per_sec": reference,
             "batched_onions_per_sec": batched,
@@ -158,13 +164,14 @@ pub fn run(onions: usize, iterations: usize, include_per_slot: bool) -> serde_js
         })
     } else {
         println!(
-            "peel ({onions} onions): chunk-ref {reference:.0}/s, batched {batched:.0}/s ({:.2}x)",
+            "peel ({onions} onions): chunk-ref {reference:.0}/s, batched ({kernel}) {batched:.0}/s ({:.2}x)",
             batched / reference
         );
         serde_json::json!({
             "onions": onions,
             "layer_width_bytes": width,
             "iterations": iterations,
+            "peel_kernel": kernel,
             "chunk_reference_onions_per_sec": reference,
             "batched_onions_per_sec": batched,
             "speedup_peel_batched": batched / reference,

@@ -7,17 +7,22 @@
 //! operations: the conditional-swap masks and lane adds autovectorize,
 //! and the four multiplication chains — each latency-bound on its own —
 //! interleave in the out-of-order window and keep the 64-bit multiplier
-//! port saturated. [`crate::x25519`] steps four onions' ladders in
-//! lockstep on this type.
+//! port saturated. The batch ladder ([`crate::batch`]) steps four
+//! onions' ladders in lockstep on this type on CPUs without AVX-512
+//! IFMA.
 //!
 //! (A 10×25.5-bit `u32`-sliced variant whose products map to
 //! `pmuludq`/`vpmuludq` was prototyped and measured 2–5× *slower* here,
 //! both rolled — per-term loop overhead — and fully unrolled — SROA
 //! scalarizes the limb arrays and the SLP vectorizer never reassembles
 //! them, and even when it does, 40 live vector values spill. The 51-bit
-//! scalar kernel interleaved four-wide is the fastest shape safe Rust
+//! scalar kernel interleaved four-wide is the fastest shape *safe* Rust
 //! reaches on x86-64; the remaining headroom is latency-hiding, which
-//! is exactly what this layout buys.)
+//! is exactly what this layout buys. Past it lies explicit SIMD: the
+//! eight-lane AVX-512 IFMA ladder in `vuvuzela-crypto-simd` multiplies
+//! eight 52-bit lanes per `vpmadd52` and runs the peel ladders ~5×
+//! faster per point. It is chosen at run time where the CPU has IFMA,
+//! and this type remains the portable fallback.)
 //!
 //! # Loose-reduction invariant
 //!

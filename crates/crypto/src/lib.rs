@@ -17,6 +17,12 @@
 //!
 //! Every primitive carries the RFC known-answer tests in its module.
 //!
+//! The batched variable-base ladder behind [`x25519::x25519_batch`] and
+//! [`onion::peel_chunk_in_place`] calls into `vuvuzela-crypto-simd`, an
+//! eight-lane AVX-512 IFMA kernel, when the CPU has IFMA, and otherwise
+//! runs four-wide over [`fe4::Fe4`]; [`x25519::batch_kernel`] names the
+//! choice. That crate holds the stack's only `unsafe` code.
+//!
 //! # Security note
 //!
 //! The field and scalar arithmetic use the standard constant-time-friendly
@@ -29,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod aead;
+pub(crate) mod batch;
 pub mod chacha20;
 pub(crate) mod edwards;
 pub mod fe4;

@@ -21,6 +21,7 @@
 //! [`REPLY_LAYER_OVERHEAD`] bytes.
 
 use crate::aead;
+use crate::batch::Kernel;
 use crate::hkdf::hkdf;
 use crate::x25519::{DhTable, Keypair, PublicKey, SecretKey, SharedSecret};
 use crate::CryptoError;
@@ -396,27 +397,17 @@ pub fn peel_in_place(
     Ok((key, inner_len))
 }
 
-/// Which Montgomery-ladder implementation a chunk peel drives: the
-/// production four-wide lockstep ladder, or the one-onion-at-a-time
-/// scalar ladder kept as the equivalence/benchmark reference.
-#[derive(Clone, Copy)]
-enum LadderMode {
-    /// Four onions per [`crate::fe4::Fe4`] ladder, scalar tail.
-    Quad,
-    /// One scalar ladder per onion (the pre-`Fe4` committed path).
-    Scalar,
-}
-
 /// Server side: peels one layer of **every onion in a chunk of slots**,
 /// in place. Slot `i` occupies `chunk[i * stride .. i * stride + width]`;
 /// per slot the semantics — success, error classification, and every
 /// output byte — are identical to calling [`peel_in_place`]. Two batch
 /// optimisations stack on the hot path:
 ///
-/// * the variable-base x25519 ladders step **four onions in lockstep**
-///   over the limb-sliced [`crate::fe4::Fe4`] type (scalar ladder for
-///   the `count % 4` tail), eliminating the per-add carry chains and
-///   interleaving four multiplication dependency chains;
+/// * the variable-base x25519 ladders run **eight onions per AVX-512
+///   IFMA kernel call** where the CPU has IFMA, and four in lockstep
+///   over the limb-sliced [`crate::fe4::Fe4`] type otherwise, with the
+///   scalar ladder for leftovers (see
+///   [`crate::x25519::batch_kernel`]);
 /// * each ladder's final field inversion is deferred and batched across
 ///   the whole chunk (Montgomery's trick, sub-batched at
 ///   [`crate::edwards`]'s resolver width): `n` slots pay one
@@ -445,13 +436,13 @@ pub fn peel_chunk_in_place(
         chunk,
         stride,
         width,
-        LadderMode::Quad,
+        Kernel::detect(),
     )
 }
 
 /// [`peel_chunk_in_place`] over the scalar (one-onion-at-a-time)
-/// Montgomery ladder — the committed pre-`Fe4` peel path, kept so the
-/// equivalence tests can hold the four-wide ladder to byte-identical
+/// Montgomery ladder — the committed pre-batching peel path, kept so
+/// the equivalence tests can hold the batch kernels to byte-identical
 /// outputs and the round benchmarks can price the batching honestly.
 pub fn peel_chunk_in_place_reference(
     server_secret: &SecretKey,
@@ -468,11 +459,11 @@ pub fn peel_chunk_in_place_reference(
         chunk,
         stride,
         width,
-        LadderMode::Scalar,
+        Kernel::Scalar,
     )
 }
 
-/// Shared chunk-peel engine behind both ladder modes.
+/// Shared chunk-peel engine behind every ladder kernel.
 #[allow(clippy::too_many_arguments)]
 fn peel_chunk_core(
     server_secret: &SecretKey,
@@ -481,78 +472,63 @@ fn peel_chunk_core(
     chunk: &mut [u8],
     stride: usize,
     width: usize,
-    mode: LadderMode,
+    kernel: Kernel,
 ) -> Vec<Result<(LayerKey, usize), CryptoError>> {
     assert!(stride > 0, "stride must be positive");
     let count = chunk.len().div_ceil(stride);
     let mut results: Vec<Result<(LayerKey, usize), CryptoError>> = Vec::with_capacity(count);
     let nonce = round_nonce(round, Direction::Request);
+    // Every lane's scalar is the server's one secret.
+    let k = crate::x25519::clamp(*server_secret.as_bytes());
 
     const GROUP: usize = crate::edwards::MAX_RESOLVE_BATCH;
-    const LANES: usize = crate::fe4::LANES;
+    let chunk_len = chunk.len();
     for group_start in (0..count).step_by(GROUP) {
         let group_len = (count - group_start).min(GROUP);
-
-        // Pass 1: length checks, gathering the admitted slots' ephemeral
-        // keys so their ladders can run four-wide.
-        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
-        let mut eph = [[0u8; 32]; GROUP];
-        let mut admitted = [false; GROUP];
-        let mut admitted_idx = [0usize; GROUP];
-        let mut admitted_len = 0usize;
-        for j in 0..group_len {
+        // Slot `j` of the group: its offset, its length, and whether it
+        // is long enough to peel (otherwise BadLength, like peel_in_place).
+        let slot = |j: usize| {
             let start = (group_start + j) * stride;
-            let slot_len = (chunk.len() - start).min(stride);
-            if width < LAYER_OVERHEAD || slot_len < width {
-                continue; // reported as BadLength below, like peel_in_place
-            }
-            eph[j].copy_from_slice(&chunk[start..start + 32]);
-            admitted[j] = true;
-            admitted_idx[admitted_len] = j;
-            admitted_len += 1;
-        }
-
-        // The ladders, inversions still deferred. In quad mode full
-        // quads run in lockstep (the per-onion scalar is the server's
-        // one secret, so the lanes differ only in their base point);
-        // the tail and the reference mode take the scalar ladder.
-        let scalar_from = match mode {
-            LadderMode::Scalar => 0,
-            LadderMode::Quad => {
-                let full = admitted_len / LANES * LANES;
-                for quad in admitted_idx[..full].chunks_exact(LANES) {
-                    let out = crate::x25519::x25519_pending_quad(
-                        server_secret.as_bytes(),
-                        [&eph[quad[0]], &eph[quad[1]], &eph[quad[2]], &eph[quad[3]]],
-                    );
-                    for (lane, p) in out.into_iter().enumerate() {
-                        pending[quad[lane]] = p;
-                    }
-                }
-                full
-            }
+            let slot_len = (chunk_len - start).min(stride);
+            (
+                start,
+                slot_len,
+                width >= LAYER_OVERHEAD && slot_len >= width,
+            )
         };
-        for &j in &admitted_idx[scalar_from..admitted_len] {
-            pending[j] = crate::x25519::x25519_pending(server_secret.as_bytes(), &eph[j]);
+
+        // Pass 1: gather the admitted slots' ephemeral keys contiguously
+        // so their ladders can run batched.
+        let mut eph = [[0u8; 32]; GROUP];
+        let mut admitted = 0usize;
+        for j in 0..group_len {
+            if let (start, _, true) = slot(j) {
+                eph[admitted].copy_from_slice(&chunk[start..start + 32]);
+                admitted += 1;
+            }
         }
 
-        // One shared inversion for the whole group.
+        // The ladders, inversions deferred, then one shared inversion
+        // for the whole group.
+        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; GROUP];
+        crate::batch::ladders_into(kernel, |_| k, &eph[..admitted], &mut pending[..admitted]);
         let mut shared = [[0u8; 32]; GROUP];
-        crate::x25519::resolve_pending_into(&pending[..group_len], &mut shared[..group_len]);
+        crate::x25519::resolve_pending_into(&pending[..admitted], &mut shared[..admitted]);
 
-        // Pass 2: KDF + in-place AEAD open per admitted slot.
+        // Pass 2: KDF + in-place AEAD open per admitted slot; `next` walks
+        // the admitted slots' compacted keys.
+        let mut next = 0usize;
         for j in 0..group_len {
-            let start = (group_start + j) * stride;
-            let slot_len = (chunk.len() - start).min(stride);
-            if !admitted[j] {
+            let (start, slot_len, admit) = slot(j);
+            if !admit {
                 results.push(Err(CryptoError::BadLength {
                     expected: LAYER_OVERHEAD,
                     got: width.min(slot_len),
                 }));
                 continue;
             }
-            let eph_pk = PublicKey::from_bytes(eph[j]);
-            let result = layer_key_from_shared(&SharedSecret(shared[j]), &eph_pk, server_public)
+            let eph_pk = PublicKey::from_bytes(eph[next]);
+            let result = layer_key_from_shared(&SharedSecret(shared[next]), &eph_pk, server_public)
                 .and_then(|key| {
                     let slot = &mut chunk[start..start + slot_len];
                     let inner_len =
@@ -560,6 +536,7 @@ fn peel_chunk_core(
                     slot.copy_within(32..32 + inner_len, 0);
                     Ok((key, inner_len))
                 });
+            next += 1;
             results.push(result);
         }
     }
@@ -879,33 +856,26 @@ mod tests {
 
     #[test]
     fn peel_chunk_small_sizes_match_per_slot() {
-        // Chunks of 1–5 slots cover the empty-quad and 1–3-onion
-        // scalar-tail paths of the 4-wide ladder; every slot must match
-        // the per-slot reference bytewise, as must the scalar-ladder
-        // chunk reference.
+        // Chunks of 1–10 slots through both batch kernels cover full and
+        // padded octets, the lone scalar leftover, full quads and the
+        // 1–3-onion scalar tail. The Fe4 kernel runs here even on CPUs
+        // that would pick IFMA, so the fallback stays tested. Every slot
+        // must match the scalar-ladder chunk reference and the per-slot
+        // path bytewise.
         let mut rng = StdRng::seed_from_u64(91);
         let server = Keypair::generate(&mut rng);
-        for count in 1..=5usize {
+        for count in 1..=10usize {
             let (sample, _) = wrap(&mut rng, &[server.public], 11, b"tail case");
             let width = sample.len();
             let stride = width + 4;
-            let mut chunk = vec![0u8; count * stride];
+            let mut original = vec![0u8; count * stride];
             let mut slots: Vec<Vec<u8>> = Vec::new();
             for i in 0..count {
                 let (onion, _) = wrap(&mut rng, &[server.public], 11, b"tail case");
-                chunk[i * stride..i * stride + width].copy_from_slice(&onion);
+                original[i * stride..i * stride + width].copy_from_slice(&onion);
                 slots.push(onion);
             }
-            let mut chunk_ref = chunk.clone();
-
-            let results = peel_chunk_in_place(
-                &server.secret,
-                &server.public,
-                11,
-                &mut chunk,
-                stride,
-                width,
-            );
+            let mut chunk_ref = original.clone();
             let ref_results = peel_chunk_in_place_reference(
                 &server.secret,
                 &server.public,
@@ -914,23 +884,38 @@ mod tests {
                 stride,
                 width,
             );
-            assert_eq!(results.len(), count, "count {count}");
-            assert_eq!(chunk, chunk_ref, "count {count}: ladder modes diverged");
-            for (i, (result, ref_result)) in results.iter().zip(&ref_results).enumerate() {
-                let (key, len) = result.as_ref().expect("valid onion");
-                let (ref_key, ref_len) = ref_result.as_ref().expect("valid onion");
-                assert_eq!((key.0, len), (ref_key.0, ref_len), "count {count} slot {i}");
-                let mut slot = slots[i].clone();
-                let (want_key, want_len) =
-                    peel_in_place(&server.secret, &server.public, 11, &mut slot, width)
-                        .expect("per-slot");
-                assert_eq!(key.0, want_key.0, "count {count} slot {i} key");
-                assert_eq!(*len, want_len, "count {count} slot {i} len");
-                assert_eq!(
-                    &chunk[i * stride..i * stride + len],
-                    &slot[..want_len],
-                    "count {count} slot {i} payload"
+            for kernel in [Kernel::Ifma8, Kernel::Fe4] {
+                let mut chunk = original.clone();
+                let results = peel_chunk_core(
+                    &server.secret,
+                    &server.public,
+                    11,
+                    &mut chunk,
+                    stride,
+                    width,
+                    kernel,
                 );
+                assert_eq!(results.len(), count, "count {count}");
+                assert_eq!(
+                    chunk, chunk_ref,
+                    "{kernel:?} count {count}: kernels diverged"
+                );
+                for (i, (result, ref_result)) in results.iter().zip(&ref_results).enumerate() {
+                    let (key, len) = result.as_ref().expect("valid onion");
+                    let (ref_key, ref_len) = ref_result.as_ref().expect("valid onion");
+                    assert_eq!((key.0, len), (ref_key.0, ref_len), "count {count} slot {i}");
+                    let mut slot = slots[i].clone();
+                    let (want_key, want_len) =
+                        peel_in_place(&server.secret, &server.public, 11, &mut slot, width)
+                            .expect("per-slot");
+                    assert_eq!(key.0, want_key.0, "count {count} slot {i} key");
+                    assert_eq!(*len, want_len, "count {count} slot {i} len");
+                    assert_eq!(
+                        &chunk[i * stride..i * stride + len],
+                        &slot[..want_len],
+                        "count {count} slot {i} payload"
+                    );
+                }
             }
         }
     }
@@ -947,7 +932,7 @@ mod tests {
         let (sample, _) = wrap(&mut rng, &[server.public], 12, b"low order");
         let width = sample.len();
         let stride = width;
-        for count in [1usize, 4, 5, 9] {
+        for count in [1usize, 4, 5, 8, 9, 17] {
             let mut chunk = vec![0u8; count * stride];
             for i in 0..count {
                 // Alternate the two low-order encodings; the rest of the

@@ -5,7 +5,6 @@
 //! dominates server CPU time (paper §8.2), so its cost model is the basis
 //! for the throughput/latency extrapolations in the benchmark harness.
 
-use crate::fe4::{Fe4, LANES};
 use crate::field::Fe;
 use rand::{CryptoRng, RngCore};
 
@@ -195,7 +194,7 @@ pub(crate) fn resolve_pending_into(pending: &[crate::edwards::PendingU], out: &m
 /// Clamps a scalar per RFC 7748 §5: clear the low 3 bits, clear bit 255,
 /// set bit 254.
 #[must_use]
-fn clamp(mut k: [u8; 32]) -> [u8; 32] {
+pub(crate) fn clamp(mut k: [u8; 32]) -> [u8; 32] {
     k[0] &= 248;
     k[31] &= 127;
     k[31] |= 64;
@@ -222,37 +221,24 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     out[0]
 }
 
-/// `X25519(scalar, u)` with the ladder's final field inversion deferred;
-/// resolve with [`resolve_pending_into`]. Crate-internal: the onion
-/// peeler batches the inversion across a whole worker chunk of onions
-/// (Montgomery's trick), shaving ~one `Fe::invert` per onion off the
-/// peel hot path while producing bit-identical shared secrets.
-pub(crate) fn x25519_pending(scalar: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
-    ladder(&clamp(*scalar), u)
-}
-
-/// Four `X25519(scalar, u)` ladders in lockstep with every inversion
-/// deferred; resolve with [`resolve_pending_into`]. Crate-internal: the
-/// onion peeler runs each worker chunk's variable-base DHs through this
-/// (the per-onion scalar is the server's one secret, so all four lanes
-/// share `scalar`), then batches the final inversions across the whole
-/// chunk. Byte-identical to four scalar [`x25519`] calls.
-pub(crate) fn x25519_pending_quad(
-    scalar: &[u8; 32],
-    us: [&[u8; 32]; LANES],
-) -> [crate::edwards::PendingU; LANES] {
-    let k = clamp(*scalar);
-    ladder4([&k; LANES], us)
+/// The kernel [`x25519_batch`] and the onion peeler run on this CPU:
+/// `"ifma8"` (eight ladders per AVX-512 IFMA call) or `"fe4"` (four per
+/// [`crate::fe4::Fe4`] call). CPU feature detection is the only
+/// selector; see [`crate::batch`].
+#[must_use]
+pub fn batch_kernel() -> &'static str {
+    crate::batch::Kernel::detect().name()
 }
 
 /// Batched X25519: computes `X25519(scalars[i], us[i])` for parallel
-/// slices of scalars and u-coordinates, stepping the Montgomery ladder
-/// four-wide over [`crate::fe4::Fe4`] (scalar ladder for the `len % 4`
-/// tail) and sharing the final field inversions across sub-batches of
-/// [`crate::edwards::MAX_RESOLVE_BATCH`] via Montgomery's trick.
-/// Bit-identical to calling [`x25519`] element-wise — low-order inputs
-/// yield the all-zero output in their lane without disturbing the rest
-/// of the batch.
+/// slices of scalars and u-coordinates. The ladders run eight-wide on
+/// AVX-512 IFMA where the CPU has it and four-wide over
+/// [`crate::fe4::Fe4`] otherwise, with the scalar ladder for leftovers
+/// (see [`batch_kernel`]). The final field inversions are shared across
+/// sub-batches of [`crate::edwards::MAX_RESOLVE_BATCH`] via Montgomery's
+/// trick. Bit-identical to calling [`x25519`] element-wise — low-order
+/// inputs yield the all-zero output in their lane without disturbing
+/// the rest of the batch.
 ///
 /// # Panics
 ///
@@ -261,19 +247,13 @@ pub(crate) fn x25519_pending_quad(
 pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     assert_eq!(scalars.len(), us.len(), "parallel slices must match");
     let n = scalars.len();
-    let mut pending = Vec::with_capacity(n);
-    let mut quads = scalars.chunks_exact(LANES).zip(us.chunks_exact(LANES));
-    for (ks, points) in &mut quads {
-        let clamped: [[u8; 32]; LANES] = core::array::from_fn(|l| clamp(ks[l]));
-        let out = ladder4(
-            core::array::from_fn(|l| &clamped[l]),
-            core::array::from_fn(|l| &points[l]),
-        );
-        pending.extend_from_slice(&out);
-    }
-    for (k, u) in scalars[n - n % LANES..].iter().zip(&us[n - n % LANES..]) {
-        pending.push(ladder(&clamp(*k), u));
-    }
+    let mut pending = vec![crate::edwards::PendingU::PLACEHOLDER; n];
+    crate::batch::ladders_into(
+        crate::batch::Kernel::detect(),
+        |i| clamp(scalars[i]),
+        us,
+        &mut pending,
+    );
 
     let mut out = vec![[0u8; 32]; n];
     for (pending_chunk, out_chunk) in pending
@@ -285,72 +265,11 @@ pub fn x25519_batch(scalars: &[[u8; 32]], us: &[[u8; 32]]) -> Vec<[u8; 32]> {
     out
 }
 
-/// The RFC 7748 Montgomery ladder stepped **four-wide**: one
-/// [`Fe4`] operation per formula line advances four independent
-/// `(scalar, u)` ladders at once. The arithmetic sequence per lane is
-/// exactly [`ladder`]'s — same formulas, same swap schedule — but the
-/// adds and subs between multiplications run carry-free under `Fe4`'s
-/// lazy-reduction contract (see [`crate::fe4`]), and the four
-/// multiplication chains interleave instead of serializing. Low-order
-/// inputs leave `z2 = 0` in their lane, resolving to zero exactly like
-/// the scalar path.
-fn ladder4(ks: [&[u8; 32]; LANES], us: [&[u8; 32]; LANES]) -> [crate::edwards::PendingU; LANES] {
-    /// One full ladder step: conditional swap plus the differential
-    /// add-and-double formulas. Kept `inline(never)` deliberately — the
-    /// nine field operations fuse inside this one medium-sized function
-    /// (good scheduling, no 160-byte argument copies per op), while the
-    /// 255-iteration loop stays a tight call site instead of a
-    /// several-thousand-instruction body that overflows the µop cache.
-    /// Measured on the 1-core bench box this shape beats both
-    /// per-operation calls and full inlining into the loop.
-    #[inline(never)]
-    fn step(swap: &[u64; LANES], x1: &Fe4, x2: &mut Fe4, z2: &mut Fe4, x3: &mut Fe4, z3: &mut Fe4) {
-        Fe4::cswap(swap, x2, x3);
-        Fe4::cswap(swap, z2, z3);
-
-        let a = x2.add(z2);
-        let aa = a.square();
-        let b = x2.sub(z2);
-        let bb = b.square();
-        let e = aa.sub(&bb);
-        let c = x3.add(z3);
-        let d = x3.sub(z3);
-        let da = d.mul(&a);
-        let cb = c.mul(&b);
-        *x3 = da.add(&cb).square();
-        *z3 = x1.mul(&da.sub(&cb).square());
-        *x2 = aa.mul(&bb);
-        *z2 = e.mul(&e.mul_small_add(121_665, &aa));
-    }
-
-    let x1 = Fe4::from_fes(core::array::from_fn(|l| Fe::from_bytes(us[l])));
-
-    let mut x2 = Fe4::splat(Fe::ONE);
-    let mut z2 = Fe4::splat(Fe::ZERO);
-    let mut x3 = x1;
-    let mut z3 = Fe4::splat(Fe::ONE);
-    let mut swap = [0u64; LANES];
-
-    for t in (0..255).rev() {
-        let mut k_t = [0u64; LANES];
-        for (lane, k) in ks.iter().enumerate() {
-            k_t[lane] = u64::from((k[t / 8] >> (t % 8)) & 1);
-            swap[lane] ^= k_t[lane];
-        }
-        step(&swap, &x1, &mut x2, &mut z2, &mut x3, &mut z3);
-        swap = k_t;
-    }
-    Fe4::cswap(&swap, &mut x2, &mut x3);
-    Fe4::cswap(&swap, &mut z2, &mut z3);
-
-    core::array::from_fn(|l| crate::edwards::PendingU::from_ratio(x2.lane(l), z2.lane(l)))
-}
-
 /// The raw RFC 7748 Montgomery ladder, stopping before the final
 /// `x2 · z2⁻¹` inversion. A low-order input leaves `z2 = 0`, which the
 /// batch resolver maps to the all-zero output exactly as
 /// `Fe::invert(0) == 0` does on the immediate path.
-fn ladder(k: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
+pub(crate) fn ladder(k: &[u8; 32], u: &[u8; 32]) -> crate::edwards::PendingU {
     let x1 = Fe::from_bytes(u);
 
     let mut x2 = Fe::ONE;
@@ -490,8 +409,10 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_across_sizes_and_tails() {
-        // Sizes 1..=9 cover the empty-quad, exact-quad and 1–3-lane
-        // scalar-tail paths; every output must equal the scalar ladder's.
+        // Sizes 1..=9 cover, on the kernel this CPU picks, a padded and
+        // a full octet plus the lone scalar leftover (IFMA), or empty and
+        // exact quads plus 1–3-lane scalar tails (Fe4); every output must
+        // equal the scalar ladder's.
         let mut rng = StdRng::seed_from_u64(11);
         for n in 1usize..=9 {
             let mut scalars = vec![[0u8; 32]; n];

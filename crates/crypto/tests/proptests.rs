@@ -149,15 +149,15 @@ proptest! {
         }
     }
 
-    /// The batched (4-wide + shared-inversion) X25519 must be
-    /// bit-identical to the scalar ladder for arbitrary scalars and
-    /// u-coordinates, at every batch size that exercises the quad and
-    /// tail paths, including low-order points mixed into arbitrary
-    /// lanes.
+    /// The batched (IFMA octets or `Fe4` quads, plus the shared
+    /// inversion) X25519 must be bit-identical to the scalar ladder for
+    /// arbitrary per-lane scalars and u-coordinates, at every batch size
+    /// that exercises full and padded octets, quads and scalar tails,
+    /// including low-order points mixed into arbitrary lanes.
     #[test]
     fn x25519_batch_matches_scalar(
         seed in any::<u64>(),
-        count in 1usize..10,
+        count in 1usize..20,
         low_order_lane in any::<Option<(u8, bool)>>(),
     ) {
         use rand::rngs::StdRng;
@@ -325,18 +325,20 @@ mod in_place {
             prop_assert_eq!(&flat[..width], &payload[..]);
         }
 
-        /// The 4-wide-ladder chunk peel must classify and transform
+        /// The batched-ladder chunk peel must classify and transform
         /// every slot exactly like the scalar-ladder chunk reference
         /// and the per-slot path, over arbitrary mixes of valid,
-        /// corrupted, truncated and low-order slots — covering quad and
-        /// tail lanes, group boundaries, and the shared inversion's
+        /// corrupted and low-order slots. Chunk sizes 1–40
+        /// cross octet, quad and tail boundaries (full and padded IFMA
+        /// octets, `Fe4` quads on CPUs without IFMA) and the 32-slot
+        /// group boundary, including the shared inversion's
         /// zero-denominator edges.
         #[test]
         fn peel_chunk_batched_matches_scalar_reference(
             seed in any::<u64>(),
-            count in 1usize..12,
+            count in 1usize..41,
             round in any::<u64>(),
-            kinds in proptest::collection::vec(0u8..4, 12),
+            kinds in proptest::collection::vec(0u8..4, 40),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let server = Keypair::generate(&mut rng);

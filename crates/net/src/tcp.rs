@@ -14,7 +14,12 @@
 //! its deployment config, and the acceptor verifies both before
 //! answering with its own. Mis-wired processes (wrong port, wrong
 //! config file, wrong chain position) therefore fail at connect time
-//! with a named mismatch instead of corrupting a round.
+//! with a named mismatch instead of corrupting a round. The Hello
+//! exchange runs under a read timeout of the caller's
+//! [`RetryPolicy::deadline`], so a connection that sits unaccepted in a
+//! listener's backlog, or a peer that never answers, fails with
+//! [`Error::Handshake`] instead of blocking forever. The timeout is
+//! cleared once the Hellos are through: round traffic stays untimed.
 
 use crate::error::Error;
 use crate::transport::Transport;
@@ -163,13 +168,15 @@ impl TcpTransport {
     /// Connects to the peer listening at `addr`, retrying refused
     /// connections per `policy` (processes of one deployment start in
     /// arbitrary order), then performs the [`Hello`] exchange as
-    /// initiator.
+    /// initiator, waiting at most the policy's deadline for the peer's
+    /// Hello.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] when no connection is established within the
     /// policy's deadline; [`Error::Handshake`] when the peer disagrees
-    /// about the link or the config digest.
+    /// about the link or the config digest, or sends no Hello within
+    /// the deadline (for instance because it never accepts).
     pub fn connect<A: ToSocketAddrs + Clone>(
         addr: A,
         link: LinkId,
@@ -201,22 +208,25 @@ impl TcpTransport {
             link,
             config_digest,
         }))?;
-        transport.expect_hello(config_digest)?;
+        transport.expect_hello(config_digest, policy.deadline)?;
         Ok(transport)
     }
 
     /// Accepts one connection on `listener` and performs the [`Hello`]
     /// exchange as acceptor: the initiator speaks first, this end
-    /// verifies and answers.
+    /// verifies and answers. Waiting for a connection is untimed; once
+    /// one arrives, its Hello must come within `policy.deadline`.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] on accept failure; [`Error::Handshake`] when the
-    /// initiator disagrees about the link or the config digest.
+    /// initiator disagrees about the link or the config digest, or
+    /// sends no Hello within the deadline.
     pub fn accept(
         listener: &TcpListener,
         link: LinkId,
         config_digest: [u8; 32],
+        policy: &RetryPolicy,
     ) -> Result<TcpTransport, Error> {
         let (stream, _peer) = listener.accept().map_err(|source| Error::Io {
             link,
@@ -224,7 +234,7 @@ impl TcpTransport {
             source,
         })?;
         let transport = TcpTransport::from_stream(stream, link)?;
-        transport.expect_hello(config_digest)?;
+        transport.expect_hello(config_digest, policy.deadline)?;
         transport.send(Frame::Hello(Hello {
             link,
             config_digest,
@@ -252,9 +262,39 @@ impl TcpTransport {
         })
     }
 
-    /// Reads one frame and verifies it is the peer's matching [`Hello`].
-    fn expect_hello(&self, config_digest: [u8; 32]) -> Result<(), Error> {
-        match self.recv()? {
+    /// Reads one frame within `timeout` and verifies it is the peer's
+    /// matching [`Hello`]. The read timeout applies to this read only; a
+    /// zero `timeout` leaves it untimed.
+    fn expect_hello(&self, config_digest: [u8; 32], timeout: Duration) -> Result<(), Error> {
+        let set_timeout = |timeout: Option<Duration>| {
+            self.reader
+                .lock()
+                .get_ref()
+                .set_read_timeout(timeout)
+                .map_err(|source| Error::Io {
+                    link: self.link,
+                    op: "set_read_timeout",
+                    source,
+                })
+        };
+        set_timeout(Some(timeout).filter(|t| !t.is_zero()))?;
+        let frame = self.recv();
+        set_timeout(None)?;
+        let frame = match frame {
+            Err(Error::Io { source, .. })
+                if matches!(
+                    source.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(Error::Handshake {
+                    link: self.link,
+                    reason: format!("no hello from the peer within {} ms", timeout.as_millis()),
+                });
+            }
+            other => other?,
+        };
+        match frame {
             Frame::Hello(hello) if hello.link != self.link => Err(Error::Handshake {
                 link: self.link,
                 reason: format!("peer believes this connection is {}", hello.link),
@@ -341,6 +381,71 @@ mod tests {
     }
 
     #[test]
+    fn hello_wait_is_bounded_when_the_listener_never_accepts() {
+        // The connection completes into the listener's backlog, but
+        // nothing ever accepts it, so no Hello comes back. The connect
+        // must fail with a named error once the deadline passes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let deadline = Duration::from_millis(300);
+        let start = Instant::now();
+        let result = TcpTransport::connect(
+            listener.local_addr().expect("addr"),
+            LinkId::Hop(0),
+            digest(3),
+            &RetryPolicy::with_deadline(deadline),
+        );
+        let elapsed = start.elapsed();
+        match result {
+            Err(Error::Handshake { reason, .. }) => {
+                assert!(reason.contains("no hello"), "{reason}")
+            }
+            Err(other) => panic!("expected a handshake timeout, got {other}"),
+            Ok(_) => panic!("handshake with a non-accepting listener succeeded"),
+        }
+        assert!(elapsed >= deadline, "waited the deadline: {elapsed:?}");
+        assert!(
+            elapsed < deadline + Duration::from_secs(1),
+            "bounded: {elapsed:?}"
+        );
+        drop(listener);
+    }
+
+    #[test]
+    fn hello_wait_is_bounded_when_the_initiator_is_silent() {
+        // An accepted peer that never sends its Hello.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let silent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let start = Instant::now();
+        let result = TcpTransport::accept(
+            &listener,
+            LinkId::Hop(1),
+            digest(3),
+            &RetryPolicy::with_deadline(Duration::from_millis(300)),
+        );
+        assert!(matches!(result, Err(Error::Handshake { .. })));
+        assert!(start.elapsed() < Duration::from_millis(1300), "bounded");
+        drop(silent);
+    }
+
+    #[test]
+    fn handshake_timeout_is_cleared_for_round_traffic() {
+        // After the Hellos, a recv must wait as long as the peer takes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let policy = RetryPolicy::with_deadline(Duration::from_millis(100));
+        let server = std::thread::spawn(move || {
+            let t = TcpTransport::accept(&listener, LinkId::Hop(0), digest(4), &policy)
+                .expect("accept");
+            std::thread::sleep(Duration::from_millis(400));
+            t.send(Frame::Bye).expect("bye");
+        });
+        let client =
+            TcpTransport::connect(addr, LinkId::Hop(0), digest(4), &policy).expect("connect");
+        assert!(matches!(client.recv(), Ok(Frame::Bye)));
+        server.join().expect("server thread");
+    }
+
+    #[test]
     fn framed_io_roundtrips() {
         let frame = Frame::Batch(BatchFrame {
             link: LinkId::Hop(2),
@@ -401,7 +506,13 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || {
-            let t = TcpTransport::accept(&listener, LinkId::Hop(0), digest(7)).expect("accept");
+            let t = TcpTransport::accept(
+                &listener,
+                LinkId::Hop(0),
+                digest(7),
+                &RetryPolicy::with_deadline(Duration::from_secs(10)),
+            )
+            .expect("accept");
             let got = t.recv().expect("recv");
             t.send(got).expect("echo");
             t.send(Frame::Bye).expect("bye");
@@ -436,8 +547,14 @@ mod tests {
     fn digest_mismatch_fails_handshake() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let server =
-            std::thread::spawn(move || TcpTransport::accept(&listener, LinkId::Hop(0), digest(1)));
+        let server = std::thread::spawn(move || {
+            TcpTransport::accept(
+                &listener,
+                LinkId::Hop(0),
+                digest(1),
+                &RetryPolicy::with_deadline(Duration::from_secs(10)),
+            )
+        });
         let client = TcpTransport::connect(
             addr,
             LinkId::Hop(0),
@@ -455,8 +572,14 @@ mod tests {
     fn link_mismatch_fails_handshake() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let server =
-            std::thread::spawn(move || TcpTransport::accept(&listener, LinkId::Hop(1), digest(1)));
+        let server = std::thread::spawn(move || {
+            TcpTransport::accept(
+                &listener,
+                LinkId::Hop(1),
+                digest(1),
+                &RetryPolicy::with_deadline(Duration::from_secs(10)),
+            )
+        });
         let client = TcpTransport::connect(
             addr,
             LinkId::Hop(2),

@@ -606,8 +606,12 @@ pub fn serve_server(cfg: &DeploymentConfig, position: usize) -> Result<NodeStats
     } else {
         None
     };
-    let upstream: Arc<dyn Transport> =
-        Arc::new(TcpTransport::accept(&listener, upstream_link, digest)?);
+    let upstream: Arc<dyn Transport> = Arc::new(TcpTransport::accept(
+        &listener,
+        upstream_link,
+        digest,
+        &retry,
+    )?);
     let server = build_server(&cfg.system, cfg.seed, position);
     run_server_node(server, &cfg.system, cfg.seed, upstream, downstream)
 }
@@ -633,8 +637,12 @@ pub fn serve_entry(cfg: &DeploymentConfig) -> Result<NodeStats, Error> {
         digest,
         &cfg.connect_retry(),
     )?);
-    let clients: Arc<dyn Transport> =
-        Arc::new(TcpTransport::accept(&listener, LinkId::Clients, digest)?);
+    let clients: Arc<dyn Transport> = Arc::new(TcpTransport::accept(
+        &listener,
+        LinkId::Clients,
+        digest,
+        &cfg.connect_retry(),
+    )?);
     run_entry_node(&cfg.system, clients, downstream)
 }
 
@@ -659,11 +667,16 @@ pub fn run_client_tcp(cfg: &DeploymentConfig, depth: usize) -> Result<String, Er
 /// (pre-binding a listener to discover one), so one deployment file can
 /// say "any free port" and all processes still agree.
 ///
+/// Every probe listener stays bound until all addresses are resolved.
+/// Dropping each probe before binding the next would let the OS hand
+/// the same port to two nodes.
+///
 /// # Errors
 ///
 /// Bind failures while probing for free ports.
 pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String> {
-    let resolve = |addr: &mut String| -> Result<(), String> {
+    let mut probes = Vec::new();
+    for addr in std::iter::once(&mut cfg.entry_addr).chain(&mut cfg.server_addrs) {
         if addr.ends_with(":0") {
             let listener = TcpListener::bind(addr.as_str())
                 .map_err(|err| format!("cannot probe a free port on {addr}: {err}"))?;
@@ -671,12 +684,8 @@ pub fn resolve_ephemeral_ports(cfg: &mut DeploymentConfig) -> Result<(), String>
                 .local_addr()
                 .map_err(|err| format!("no local addr for {addr}: {err}"))?
                 .to_string();
+            probes.push(listener);
         }
-        Ok(())
-    };
-    resolve(&mut cfg.entry_addr)?;
-    for addr in &mut cfg.server_addrs {
-        resolve(addr)?;
     }
     Ok(())
 }
@@ -1062,6 +1071,24 @@ mod tests {
         }
         let err = DeploymentConfig::from_json(&value).expect_err("nested typo");
         assert!(err.contains("pair"), "{err}");
+    }
+
+    #[test]
+    fn ephemeral_ports_are_distinct() {
+        // Regression: each probe listener used to be dropped before the
+        // next port was probed, so two nodes could be handed one port.
+        for _ in 0..200 {
+            let mut cfg = smoke_config();
+            resolve_ephemeral_ports(&mut cfg).expect("free loopback ports");
+            let mut ports: Vec<String> = std::iter::once(&cfg.entry_addr)
+                .chain(&cfg.server_addrs)
+                .map(|addr| addr.rsplit(':').next().expect("port").to_string())
+                .collect();
+            assert!(ports.iter().all(|port| port != "0"), "{ports:?}");
+            ports.sort();
+            ports.dedup();
+            assert_eq!(ports.len(), 4, "entry + 3 servers got distinct ports");
+        }
     }
 
     #[test]
