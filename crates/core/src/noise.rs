@@ -7,6 +7,14 @@
 //! suffix of the chain — this is why cover traffic is the dominant cost
 //! at small scale (§8.2) and why latency grows quadratically with chain
 //! length (Figure 11).
+//!
+//! The zero-copy generators (`*_noise_into`) wrap their onions in
+//! 32-slot chunks through [`onion::wrap_noise_chunk_into`]: per layer,
+//! a chunk's keygens and DHs run eight at a time on the AVX-512 IFMA
+//! comb where the CPU has IFMA (the scalar comb otherwise), and its
+//! field inversions are shared. Every slot still wraps from its own
+//! child RNG, seeded in slot order, so the bytes do not depend on the
+//! chunking, the worker count or the CPU.
 
 use crate::config::SystemConfig;
 use crate::roundbuf::RoundBuffer;
@@ -207,11 +215,18 @@ pub fn dialing_noise_into<R: RngCore + CryptoRng>(
     total
 }
 
+/// Slots per worker chunk on the noise path: one chunk's keygens and
+/// DHs run eight per comb call and share their field inversions
+/// ([`onion::wrap_noise_chunk_into`]).
+const NOISE_CHUNK_SLOTS: usize = 32;
+
 /// Onion-wraps `batch` slots `first..len` in place: each slot already
 /// holds its payload at offset `32 * chain.len()` (where
 /// [`onion::wrap_into`] expects it) and is sealed for the chain suffix in
-/// parallel. Seeds are drawn per slot from `rng` in slot order, exactly
-/// like [`wrap_payloads`] does for the allocating path.
+/// parallel, [`NOISE_CHUNK_SLOTS`] slots per worker call. Seeds are
+/// drawn per slot from `rng` in slot order, exactly like
+/// [`wrap_payloads`] does for the allocating path, and each slot wraps
+/// from its own child RNG.
 fn wrap_slots_in_place<R: RngCore + CryptoRng>(
     rng: &mut R,
     batch: &mut RoundBuffer,
@@ -237,10 +252,29 @@ fn wrap_slots_in_place<R: RngCore + CryptoRng>(
     let stride = batch.stride();
     let arena = batch.arena_mut();
     let region = &mut arena[first * stride..];
-    WorkerPool::shared().map_strides_mut(region, stride, workers, |i, slot| {
-        let mut child = StdRng::from_seed(seeds[i]);
-        onion::wrap_noise_into(&mut child, chain, round, &mut slot[..width], payload_len);
-    });
+    WorkerPool::shared().map_stride_chunks_mut(
+        region,
+        stride,
+        NOISE_CHUNK_SLOTS,
+        workers,
+        |first_slot, window| {
+            let n = window.len().div_ceil(stride);
+            // A stack array, not a Vec per chunk; entries past `n` are
+            // unused copies of the last slot's RNG.
+            let mut children: [StdRng; NOISE_CHUNK_SLOTS] =
+                core::array::from_fn(|j| StdRng::from_seed(seeds[first_slot + j.min(n - 1)]));
+            onion::wrap_noise_chunk_into(
+                &mut children[..n],
+                chain,
+                round,
+                window,
+                stride,
+                width,
+                payload_len,
+            );
+            vec![(); n]
+        },
+    );
 }
 
 /// The expected cover traffic a single noising server adds to one round

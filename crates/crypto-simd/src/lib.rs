@@ -1,14 +1,22 @@
-//! An eight-lane X25519 Montgomery ladder on AVX-512 IFMA.
+//! Eight-lane X25519 kernels on AVX-512 IFMA: a Montgomery ladder and a
+//! fixed-point comb.
 //!
-//! The mix servers' hot path is one variable-base X25519 per onion per
-//! round. `vuvuzela-crypto` steps those ladders four at a time over its
-//! safe-Rust `Fe4` type, which is bound by the scalar 64-bit
-//! multiplier. AVX-512 IFMA (`vpmadd52luq` / `vpmadd52huq`) multiplies
-//! eight 52-bit lane pairs per instruction, so this crate steps **eight
-//! independent ladders** in lockstep, one per 64-bit lane of a
-//! `__m512i`.
+//! The mix servers' hot paths are one variable-base X25519 per onion per
+//! round (peeling) and, per layer of every cover onion they generate,
+//! one fixed-base keygen `k·B` and one DH `k·server_pk` against a known
+//! server key (noise). `vuvuzela-crypto` runs them in safe Rust: the
+//! ladder four at a time over its `Fe4` type, the fixed-point products
+//! one at a time over a signed-radix-16 comb table; both are bound by the
+//! scalar 64-bit multiplier. AVX-512 IFMA (`vpmadd52luq` /
+//! `vpmadd52huq`) multiplies eight 52-bit lane pairs per instruction, so
+//! this crate runs **eight independent scalar multiplications** in
+//! lockstep, one per 64-bit lane of a `__m512i`:
 //!
-//! The kernel is chosen at run time: [`ladder8`] checks
+//! * [`ladder8`]: eight RFC 7748 ladders, eight u-coordinates;
+//! * [`comb8`]: eight comb walks over one point's table (the base point
+//!   or a server key), eight scalars.
+//!
+//! The kernels are chosen at run time: each entry point checks
 //! `is_x86_feature_detected!("avx512f")` and `("avx512ifma")` and
 //! returns `None` when the CPU lacks either, and the whole crate
 //! compiles to that stub off x86-64. Callers keep a portable fallback.
@@ -53,6 +61,7 @@
 //! | square `a²` | carried | same terms as `mul(a, a)` | carried |
 //! | a24 `a + 121665 · b` | carried | < 2^53 | carried |
 //! | carry | any `u64` limbs | n/a | carried |
+//! | comb select | table limbs **fully reduced, < 2^51** | n/a | < 2^51, or carried where `0 − 2dxy` was taken |
 //!
 //! The mul bound: a product position collects at most 5 low halves
 //! (each < 2^52) and 5 doubled high halves (each < 2^53), and no
@@ -69,17 +78,45 @@
 //! in `vuvuzela-crypto` drive every op with limbs at the top of these
 //! ranges against the scalar `Fe` arithmetic.
 //!
+//! The comb's table entries go straight into multiplications and, for a
+//! negative digit, into `0 − 2dxy` (a `sub`, whose `b` must not exceed
+//! 2p limb-wise), so [`comb8`] takes tables whose limbs are fully
+//! reduced, below 2^51; `d2` must be carried. Everything else it feeds
+//! into a multiplication is the output of a carried operation.
+//!
+//! # The comb
+//!
+//! A table ([`CombTable`]) holds, for one point `P`, 32 rows of the
+//! eight multiples `j · 16^(2i) · P` (`j = 1..=8`) in Niels form
+//! `(y+x, y−x, 2d·x·y)`, laid out `[row][coordinate limb][entry]` so one
+//! coordinate limb of a whole row is one 64-byte vector. A clamped scalar
+//! becomes 64 signed digits in `[−8, 8]` ([`Digits`]); the walk adds one
+//! selected entry per odd digit, doubles four times (×16), then adds one
+//! per even digit — 64 mixed additions (7 multiplications each) and 4
+//! doublings (9 each) against the ladder's 255 steps of 10. Its result
+//! `(Z+Y) / (Z−Y)` is the Montgomery u-coordinate.
+//!
 //! # Constant time
 //!
 //! The conditional swap masks are computed arithmetically from the
 //! scalar bits (`0 − bit` per lane). The ladder has no branch and no
 //! memory index that depends on a secret; the only data-dependent
 //! values are vector register contents.
+//!
+//! The comb's row select loads all fifteen limb vectors of the row for
+//! every digit, so the addresses it reads depend only on the public
+//! row number. Within the registers, `vpermq` picks entry `|digit| − 1`
+//! per lane, and mask blends, with masks from lane-wise compares of the
+//! digits, apply the sign (swap `y+x` with `y−x`, take `0 − 2dxy`) and
+//! the zero digit (the identity `(1, 1, 0)`). Every lane runs the same
+//! instructions whatever its digits; no branch or memory index depends
+//! on a secret.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
-/// Number of ladders stepped in lockstep.
+/// Number of scalar multiplications (ladders or comb walks) run in
+/// lockstep.
 pub const LANES: usize = 8;
 
 /// Exclusive upper bound on every limb of a carried element:
@@ -92,13 +129,15 @@ pub type Limbs = [u64; 5];
 /// Eight field elements, one per lane.
 pub type Lanes = [Limbs; LANES];
 
-/// The ladder's projective result per lane: `u = x / z`.
+/// A projective Montgomery u-coordinate per lane, `u = x / z`: the
+/// ladder's `(x2, z2)` or the comb's `(Z+Y, Z−Y)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Projective8 {
-    /// The numerator `x2`, carried.
+    /// The numerator, carried.
     pub x: Lanes,
-    /// The denominator `z2`, carried. Zero (mod p) exactly when the
-    /// lane's input point has low order.
+    /// The denominator, carried. For the ladder, zero (mod p) exactly
+    /// when the lane's input point has low order; for the comb, exactly
+    /// when the lane's result is the identity.
     pub z: Lanes,
 }
 
@@ -186,6 +225,58 @@ pub fn cswap8(swap: &[bool; LANES], a: &Lanes, b: &Lanes) -> Option<(Lanes, Lane
     None
 }
 
+/// Rows in a signed-radix-16 comb table: row `i` holds the multiples
+/// of `16^(2i) · P`.
+pub const COMB_ROWS: usize = 32;
+
+/// Coordinate limbs per comb entry: the Niels form `(y+x, y−x, 2d·x·y)`
+/// of an affine point, five limbs each, in that order.
+pub const COMB_LIMBS: usize = 15;
+
+/// Entries per comb row, the multiples `1·P ..= 8·P` of the row's point.
+/// Equal to [`LANES`], so one coordinate limb of a whole row fills one
+/// `__m512i` and the kernel selects an entry per lane with one permute.
+pub const COMB_ENTRIES: usize = LANES;
+
+/// One comb row, limb-major: `row[c][e]` is coordinate limb `c` of entry
+/// `e`, the point `(e + 1) · 16^(2i) · P`. Every limb is fully reduced
+/// (below 2^51).
+pub type CombRow = [[u64; COMB_ENTRIES]; COMB_LIMBS];
+
+/// A whole comb table for one point `P`, rows in order.
+pub type CombTable = [CombRow; COMB_ROWS];
+
+/// A clamped scalar as 64 signed radix-16 digits in `[−8, 8]`, least
+/// significant first: `k = Σ digits[i] · 16^i`.
+pub type Digits = [i8; 64];
+
+/// Eight fixed-point scalar multiplications `k_l · P` in lockstep over
+/// the comb table `rows` of `P`, stopping before the final inversion.
+/// Lane `l` walks `digits[l]` as the crypto crate's scalar comb does:
+/// odd digits, four doublings with the full addition formula (`d2` is
+/// the curve's `2d`, carried), even digits. The result is the lane's
+/// Montgomery u-coordinate as the ratio `x / z = (Z+Y) / (Z−Y)`, both
+/// carried; `z` is zero exactly when the lane's result is the identity.
+///
+/// A zero digit adds the identity `(1, 1, 0)` where the scalar comb
+/// skips the addition, which scales the lane's projective coordinates
+/// but not the point, so the resolved u-coordinate is byte-identical.
+///
+/// Returns `None` when the CPU lacks AVX-512 IFMA.
+#[must_use]
+pub fn comb8(rows: &CombTable, d2: &Limbs, digits: &[Digits; LANES]) -> Option<Projective8> {
+    debug_assert!(rows.iter().flatten().flatten().all(|&limb| limb < 1 << 51));
+    debug_assert!(digits.iter().flatten().all(|d| (-8..=8).contains(d)));
+    #[cfg(target_arch = "x86_64")]
+    if ifma_available() {
+        // SAFETY: `ifma::comb8` is compiled for avx512f + avx512ifma,
+        // and both were detected on this CPU just above.
+        return Some(unsafe { ifma::comb8(rows, d2, digits) });
+    }
+    let _ = (rows, d2, digits);
+    None
+}
+
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     //! The kernel. Every function here is `#[target_feature]`-gated and
@@ -193,13 +284,13 @@ mod ifma {
     //!
     //! # Safety
     //!
-    //! Calling any of the three `pub(super)` entry points requires a CPU
+    //! Calling any of the `pub(super)` entry points requires a CPU
     //! with AVX-512F and AVX-512 IFMA; the wrappers check both with
     //! `is_x86_feature_detected!` first. Given that, the functions have
     //! no other precondition: out-of-bound limbs give wrong field
     //! values, never undefined behaviour.
 
-    use super::{Lanes, Op, Projective8, LANES};
+    use super::{CombRow, CombTable, Digits, Lanes, Limbs, Op, Projective8, LANES};
     use core::arch::x86_64::*;
 
     /// Eight field elements, limb-sliced: `.0[i]` is limb `i` of every
@@ -473,6 +564,162 @@ mod ifma {
         let (mut a, mut b) = (pack(a), pack(b));
         cswap(mask, &mut a, &mut b);
         (unpack(&a), unpack(&b))
+    }
+
+    /// An extended twisted Edwards point per lane, `(X : Y : Z : T)`
+    /// with `x = X/Z`, `y = Y/Z`, `T = XY/Z`; every limb carried.
+    #[derive(Clone, Copy)]
+    struct Ext8 {
+        x: Fe8,
+        y: Fe8,
+        z: Fe8,
+        t: Fe8,
+    }
+
+    /// A selected table entry per lane in Niels form.
+    struct Niels8 {
+        y_plus_x: Fe8,
+        y_minus_x: Fe8,
+        t2d: Fe8,
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn splat(limbs: &Limbs) -> Fe8 {
+        Fe8(core::array::from_fn(|i| _mm512_set1_epi64(limbs[i] as i64)))
+    }
+
+    /// Lane-wise `mask ? b : a`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn blend(mask: __mmask8, a: &Fe8, b: &Fe8) -> Fe8 {
+        Fe8(core::array::from_fn(|i| {
+            _mm512_mask_blend_epi64(mask, a.0[i], b.0[i])
+        }))
+    }
+
+    /// Per lane, entry `|digit| − 1` of `row`, negated where the digit
+    /// is negative and replaced by the identity `(1, 1, 0)` where it is
+    /// zero. One permute across the row's eight entries picks each
+    /// lane's entry and mask blends apply the sign and zero cases, so no
+    /// branch and no memory index depends on a digit: all fifteen limb
+    /// vectors of the row are loaded for every lane.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn select(row: &CombRow, digit: __m512i) -> Niels8 {
+        let zero = _mm512_setzero_si512();
+        let one = _mm512_set1_epi64(1);
+        // A zero digit gives index −1; the permute reads only its low
+        // three bits (entry 7) and the zero blend below discards it.
+        let index = _mm512_sub_epi64(_mm512_abs_epi64(digit), one);
+        let entry = |c: usize| {
+            // SAFETY: `row[c]` is eight `u64`s, exactly one unaligned
+            // 512-bit load.
+            let limbs = unsafe { _mm512_loadu_si512(row[c].as_ptr().cast()) };
+            _mm512_permutexvar_epi64(index, limbs)
+        };
+        let coordinate = |first: usize| Fe8(core::array::from_fn(|i| entry(first + i)));
+        let (y_plus_x, y_minus_x, t2d) = (coordinate(0), coordinate(5), coordinate(10));
+
+        // −(x, y) = (−x, y): y+x and y−x trade places and 2d·x·y flips
+        // sign. Table limbs are below 2^51, so `0 − t2d` meets `sub`'s
+        // bound.
+        let negative = _mm512_cmplt_epi64_mask(digit, zero);
+        let zero_fe = Fe8([zero; 5]);
+        let minus_t2d = sub(&zero_fe, &t2d);
+        let signed = Niels8 {
+            y_plus_x: blend(negative, &y_plus_x, &y_minus_x),
+            y_minus_x: blend(negative, &y_minus_x, &y_plus_x),
+            t2d: blend(negative, &t2d, &minus_t2d),
+        };
+
+        let is_zero = _mm512_cmpeq_epi64_mask(digit, zero);
+        let one_fe = Fe8([one, zero, zero, zero, zero]);
+        Niels8 {
+            y_plus_x: blend(is_zero, &signed.y_plus_x, &one_fe),
+            y_minus_x: blend(is_zero, &signed.y_minus_x, &one_fe),
+            t2d: blend(is_zero, &signed.t2d, &zero_fe),
+        }
+    }
+
+    /// Mixed addition with a Niels point, line for line the crypto
+    /// crate's `Extended::add_niels`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn add_niels(p: &Ext8, n: &Niels8) -> Ext8 {
+        let a = mul(&sub(&p.y, &p.x), &n.y_minus_x);
+        let b = mul(&add(&p.y, &p.x), &n.y_plus_x);
+        let c = mul(&p.t, &n.t2d);
+        let d = add(&p.z, &p.z);
+        let e = sub(&b, &a);
+        let f = sub(&d, &c);
+        let g = add(&d, &c);
+        let h = add(&b, &a);
+        Ext8 {
+            x: mul(&e, &f),
+            y: mul(&g, &h),
+            z: mul(&f, &g),
+            t: mul(&e, &h),
+        }
+    }
+
+    /// The full unified addition, line for line the crypto crate's
+    /// `Extended::add`; the comb doubles with `add(p, p)`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn add_extended(p: &Ext8, q: &Ext8, d2: &Fe8) -> Ext8 {
+        let a = mul(&sub(&p.y, &p.x), &sub(&q.y, &q.x));
+        let b = mul(&add(&p.y, &p.x), &add(&q.y, &q.x));
+        let c = mul(&mul(&p.t, d2), &q.t);
+        let d = mul(&p.z, &q.z);
+        let d = add(&d, &d);
+        let e = sub(&b, &a);
+        let f = sub(&d, &c);
+        let g = add(&d, &c);
+        let h = add(&b, &a);
+        Ext8 {
+            x: mul(&e, &f),
+            y: mul(&g, &h),
+            z: mul(&f, &g),
+            t: mul(&e, &h),
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn comb8(rows: &CombTable, d2: &Limbs, digits: &[Digits; LANES]) -> Projective8 {
+        // Digit `i` of every lane, sign-extended to 64 bits.
+        let digit = |i: usize| {
+            let d = |lane: usize| i64::from(digits[lane][i]);
+            _mm512_setr_epi64(d(0), d(1), d(2), d(3), d(4), d(5), d(6), d(7))
+        };
+        let d2 = splat(d2);
+        let zero = Fe8([_mm512_setzero_si512(); 5]);
+        let one = Fe8([
+            _mm512_set1_epi64(1),
+            _mm512_setzero_si512(),
+            _mm512_setzero_si512(),
+            _mm512_setzero_si512(),
+            _mm512_setzero_si512(),
+        ]);
+        let mut h = Ext8 {
+            x: zero,
+            y: one,
+            z: one,
+            t: zero,
+        };
+        for i in (1..64).step_by(2) {
+            h = add_niels(&h, &select(&rows[i / 2], digit(i)));
+        }
+        for _ in 0..4 {
+            h = add_extended(&h, &h, &d2);
+        }
+        for i in (0..64).step_by(2) {
+            h = add_niels(&h, &select(&rows[i / 2], digit(i)));
+        }
+        Projective8 {
+            x: unpack(&add(&h.z, &h.y)),
+            z: unpack(&sub(&h.z, &h.y)),
+        }
     }
 }
 

@@ -1,9 +1,16 @@
-//! Batched variable-base X25519 ladders, dispatched on the CPU.
+//! Batched X25519 scalar multiplications, dispatched on the CPU.
 //!
-//! Both batch consumers, [`crate::x25519::x25519_batch`] and the onion
-//! peeler ([`crate::onion::peel_chunk_in_place`]), run their ladders
-//! through [`ladders_into`]. It picks one of three shapes per run of
-//! inputs:
+//! Two batch shapes share one CPU check ([`Kernel::detect`]):
+//!
+//! * [`ladders_into`], variable-base ladders: the batch consumers
+//!   [`crate::x25519::x25519_batch`] and the onion peeler
+//!   ([`crate::onion::peel_chunk_in_place`]).
+//! * [`combs_into`], fixed-point combs over a precomputed
+//!   [`PointTable`]: the noise wrapper's keygens (`k·B`) and its DHs
+//!   against downstream server keys
+//!   ([`crate::onion::wrap_noise_chunk_into`]).
+//!
+//! [`ladders_into`] picks one of three shapes per run of inputs:
 //!
 //! * **octets**: eight ladders per AVX-512 IFMA kernel call
 //!   ([`vuvuzela_crypto_simd::ladder8`]). A partial octet with at least
@@ -15,26 +22,34 @@
 //! * **scalar**: the RFC 7748 ladder, for whatever is left (at most one
 //!   input after octets, at most three after quads).
 //!
+//! [`combs_into`] runs octets of the eight-lane comb
+//! ([`vuvuzela_crypto_simd::comb8`]) and the scalar comb for the rest.
+//! One comb call took ~15 µs and one scalar comb ~14 µs on the same
+//! Xeon, so a partial octet runs padded from two live lanes on, as for
+//! the ladders. `Fe4` has no comb, so [`Kernel::Fe4`] and
+//! [`Kernel::Scalar`] run the scalar comb throughout.
+//!
 //! [`Kernel::detect`] chooses between octets and quads from the CPU's
 //! features alone; nothing else selects it. Every shape leaves the
 //! final inversion deferred as a [`PendingU`] and yields the same bytes
 //! once resolved.
 
-use crate::edwards::PendingU;
+use crate::edwards::{d2_limbs, signed_radix16, PendingU, PointTable};
 use crate::fe4::Fe4;
 use crate::field::Fe;
 use crate::x25519::{ladder, BASE_POINT};
 use vuvuzela_crypto_simd as simd;
 
-/// The batch ladder shape.
+/// The batch shape, for ladders and combs alike.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Kernel {
-    /// Octets on AVX-512 IFMA, then the scalar ladder for a lone
-    /// leftover.
+    /// Octets on AVX-512 IFMA, then the scalar ladder or comb for a
+    /// lone leftover.
     Ifma8,
-    /// Quads over [`Fe4`], then the scalar ladder for the tail.
+    /// Ladder quads over [`Fe4`], then the scalar ladder for the tail;
+    /// the scalar comb for every comb.
     Fe4,
-    /// The scalar ladder for every input: the reference path.
+    /// The scalar ladder or comb for every input: the reference path.
     Scalar,
 }
 
@@ -107,6 +122,56 @@ pub(crate) fn ladders_into(
     for i in done..n {
         out[i] = ladder(&k(i), &us[i]);
     }
+}
+
+/// Runs `k(i) · P` for every `i` over `table`, the comb table of `P`,
+/// leaving each final inversion deferred in `out[i]`. `k(i)` must
+/// return a clamped scalar. Octets first when `kernel` is
+/// [`Kernel::Ifma8`] (a partial octet with at least two live lanes runs
+/// padded with lane 0's scalar), then the scalar comb.
+pub(crate) fn combs_into(
+    kernel: Kernel,
+    table: &PointTable,
+    k: impl Fn(usize) -> [u8; 32],
+    out: &mut [PendingU],
+) {
+    let n = out.len();
+    let mut done = 0;
+    if kernel == Kernel::Ifma8 {
+        while n - done >= MIN_OCTET_LANES {
+            let live = (n - done).min(simd::LANES);
+            if !comb_octet(table, &k, done, &mut out[done..done + live]) {
+                break; // no IFMA after all: the scalar comb takes over
+            }
+            done += live;
+        }
+    }
+    for (i, slot) in out.iter_mut().enumerate().skip(done) {
+        *slot = table.scalarmult_pending(&k(i));
+    }
+}
+
+/// One eight-lane comb call over `out.len()` (1..=8) live lanes starting
+/// at input index `base`; idle lanes repeat lane 0's digits and are
+/// discarded. Returns `false`, writing nothing, when the CPU lacks IFMA.
+fn comb_octet(
+    table: &PointTable,
+    k: &impl Fn(usize) -> [u8; 32],
+    base: usize,
+    out: &mut [PendingU],
+) -> bool {
+    let live = out.len();
+    let digits: [simd::Digits; simd::LANES] =
+        core::array::from_fn(|l| signed_radix16(&k(base + if l < live { l } else { 0 })));
+    let Some(r) = simd::comb8(table.rows(), &d2_limbs(), &digits) else {
+        return false;
+    };
+    // Carried kernel limbs are below 2^51 + 2^18, inside `Fe`'s loose
+    // (< 2^52) invariant.
+    for (l, slot) in out.iter_mut().enumerate() {
+        *slot = PendingU::from_ratio(Fe(r.x[l]), Fe(r.z[l]));
+    }
+    true
 }
 
 /// One IFMA kernel call over `us.len()` (1..=8) live lanes starting at
@@ -331,6 +396,160 @@ mod tests {
             let mut got = vec![[0u8; 32]; live];
             resolve_pending_into(&pending, &mut got);
             assert_eq!(got, scalar_reference(&scalars, &us), "live {live}");
+        }
+    }
+
+    /// Every input through [`combs_into`] on `kernel`, resolved.
+    fn run_combs(kernel: Kernel, table: &PointTable, scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
+        let mut pending = vec![PendingU::PLACEHOLDER; scalars.len()];
+        combs_into(kernel, table, |i| clamp(scalars[i]), &mut pending);
+        let mut out = vec![[0u8; 32]; scalars.len()];
+        for (p, o) in pending.chunks(32).zip(out.chunks_mut(32)) {
+            resolve_pending_into(p, o);
+        }
+        out
+    }
+
+    /// The base table (u = 9) and the point tables of three server keys,
+    /// each with its point's u-coordinate for the ladder oracle.
+    fn comb_tables() -> Vec<(&'static PointTable, [u8; 32])> {
+        let mut rng = StdRng::seed_from_u64(300);
+        let mut tables = vec![(crate::edwards::base_table(), BASE_POINT)];
+        for _ in 0..3 {
+            let mut sk = [0u8; 32];
+            rng.fill_bytes(&mut sk);
+            let u = x25519(&sk, &BASE_POINT);
+            let table = PointTable::new(&u).expect("a public key has a table");
+            tables.push((Box::leak(Box::new(table)), u));
+        }
+        tables
+    }
+
+    /// Clamped scalars whose signed radix-16 digits hit the comb's
+    /// edges. Each is checked against the digit shape it is meant to
+    /// have, so the comb tests below cover what they claim.
+    fn edge_scalars() -> Vec<[u8; 32]> {
+        let digits = |k: &[u8; 32]| signed_radix16(&clamp(*k));
+        // The clamped minimum 2^254: 63 zero digits, then 4.
+        let mut min = [0u8; 32];
+        min[31] = 0x40;
+        assert!(digits(&min)[..63].iter().all(|&d| d == 0) && digits(&min)[63] == 4);
+        // The clamped maximum: the carry out of digit 0 (8 → −8)
+        // ripples through every digit (15 + 1 → 0), ending on +8.
+        let max = clamp([0xff; 32]);
+        let d = digits(&max);
+        assert!(d[0] == -8 && d[1..63].iter().all(|&d| d == 0) && d[63] == 8);
+        // Nibbles 8, 7, 7, …: every digit −8 but the last, +8.
+        let mut minus_eights = [0x77u8; 32];
+        minus_eights[0] = 0x78;
+        let d = digits(&minus_eights);
+        assert!(d[..63].iter().all(|&d| d == -8) && d[63] == 8);
+        // 0x69 and 0x96 bytes: alternating signs (±7) in both phases.
+        let alternating = [0x69u8; 32];
+        assert!(digits(&alternating)[1..63]
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| d == if i % 2 == 0 { 7 } else { -7 }));
+        let alternating_shifted = [0x96u8; 32];
+        assert!(digits(&alternating_shifted)[1..63]
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| d == if i % 2 == 0 { -7 } else { 7 }));
+        // Long runs of zero digits between isolated ±1 and ±8 digits.
+        let mut sparse = min;
+        sparse[5] = 0x08;
+        sparse[17] = 0x80;
+        sparse[26] = 0x01;
+        assert_eq!(digits(&sparse).iter().filter(|&&d| d != 0).count(), 6);
+        // Two scalars whose zero digits are exactly each other's
+        // non-zero ones, so one octet step mixes both cases.
+        let mut rng = StdRng::seed_from_u64(301);
+        let mut even_zero = [0u8; 32];
+        let mut odd_zero = [0u8; 32];
+        for i in 0..32 {
+            let mut nibble = || 1 + (rng.next_u32() % 7) as u8; // 1..=7: no carries
+            even_zero[i] = nibble() << 4;
+            odd_zero[i] = nibble();
+        }
+        even_zero[31] = 0x40 | (even_zero[31] & 0x30);
+        odd_zero[0] = 0; // clamped: digit 0 is zero too
+        odd_zero[31] = 0x40 | (odd_zero[31] & 0x07);
+        let (e, o) = (digits(&even_zero), digits(&odd_zero));
+        for i in 1..63 {
+            assert!((e[i] == 0) == (i % 2 == 0), "even_zero digit {i}");
+            assert!((o[i] == 0) == (i % 2 == 1), "odd_zero digit {i}");
+        }
+        vec![
+            min,
+            max,
+            minus_eights,
+            alternating,
+            alternating_shifted,
+            sparse,
+            even_zero,
+            odd_zero,
+        ]
+    }
+
+    #[test]
+    fn combs_at_edge_scalars() {
+        // Every edge scalar in every lane position of a full octet (the
+        // eight rotations), over the base table and three server keys'
+        // tables: the kernel, the forced scalar comb and the ladder agree.
+        let edges = edge_scalars();
+        for (t, (table, u)) in comb_tables().into_iter().enumerate() {
+            for rotation in 0..edges.len() {
+                let mut scalars = edges.clone();
+                scalars.rotate_left(rotation);
+                let want: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, &u)).collect();
+                for kernel in [Kernel::Ifma8, Kernel::Scalar] {
+                    assert_eq!(
+                        run_combs(kernel, table, &scalars),
+                        want,
+                        "{kernel:?} table {t} rotation {rotation}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_combs_match_the_ladder_across_sizes() {
+        // 1..=19 covers full and padded octets, the lone scalar
+        // leftover, and the scalar comb the Fe4 and Scalar kernels run
+        // even on CPUs that would pick IFMA.
+        let tables = comb_tables();
+        for n in 1..=19 {
+            let (scalars, _) = random_inputs(200 + n as u64, n);
+            for (t, (table, u)) in tables.iter().enumerate().take(2) {
+                let want: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, u)).collect();
+                for kernel in [Kernel::Ifma8, Kernel::Fe4, Kernel::Scalar] {
+                    assert_eq!(
+                        run_combs(kernel, table, &scalars),
+                        want,
+                        "{kernel:?} table {t} n {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_comb_octets_with_one_to_seven_live_lanes() {
+        let edges = edge_scalars();
+        for (t, (table, u)) in comb_tables().into_iter().enumerate() {
+            for live in 1..=7 {
+                let scalars = &edges[8 - live..];
+                let mut pending = vec![PendingU::PLACEHOLDER; live];
+                let k = |i: usize| clamp(scalars[i]);
+                if !comb_octet(table, &k, 0, &mut pending) {
+                    return; // no IFMA on this CPU
+                }
+                let mut got = vec![[0u8; 32]; live];
+                resolve_pending_into(&pending, &mut got);
+                let want: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, &u)).collect();
+                assert_eq!(got, want, "table {t} live {live}");
+            }
         }
     }
 

@@ -20,8 +20,11 @@
 //! The batched variable-base ladder behind [`x25519::x25519_batch`] and
 //! [`onion::peel_chunk_in_place`] calls into `vuvuzela-crypto-simd`, an
 //! eight-lane AVX-512 IFMA kernel, when the CPU has IFMA, and otherwise
-//! runs four-wide over [`fe4::Fe4`]; [`x25519::batch_kernel`] names the
-//! choice. That crate holds the stack's only `unsafe` code.
+//! runs four-wide over [`fe4::Fe4`]. The same check sends the noise
+//! wrapper's fixed-point combs ([`onion::wrap_noise_chunk_into`]) to
+//! that crate's eight-lane comb, or to the scalar comb;
+//! [`x25519::batch_kernel`] names the choice. That crate holds the
+//! stack's only `unsafe` code.
 //!
 //! # Security note
 //!

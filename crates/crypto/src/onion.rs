@@ -117,7 +117,8 @@ pub fn layer_key_from_shared(
 /// proper) a precomputed Edwards comb table accelerating the per-onion
 /// `eph_sk · server_pk` Diffie-Hellman. Built once per long-lived server
 /// key; used by the bulk noise-wrapping path, which performs this DH for
-/// every cover onion, every round.
+/// every cover onion, every round, eight onions per AVX-512 IFMA comb
+/// call where the CPU has IFMA ([`wrap_noise_chunk_into`]).
 pub struct PrecomputedServer {
     /// The server's long-term public key.
     pub public: PublicKey,
@@ -133,16 +134,6 @@ impl PrecomputedServer {
         PrecomputedServer {
             table: DhTable::new(&public),
             public,
-        }
-    }
-
-    /// `eph_sk · server_pk` with its field inversion deferred, through
-    /// the table when available (ladder fallbacks resolve trivially:
-    /// their inversion already happened inside the ladder).
-    fn shared_with_pending(&self, eph_secret: &SecretKey) -> crate::edwards::PendingU {
-        match &self.table {
-            Some(table) => table.diffie_hellman_pending(eph_secret),
-            None => crate::edwards::PendingU::resolved(&eph_secret.diffie_hellman(&self.public).0),
         }
     }
 }
@@ -233,9 +224,11 @@ pub fn wrap_into_with<R: RngCore + CryptoRng>(
     buf: &mut [u8],
     payload_len: usize,
 ) -> Vec<LayerKey> {
-    let mut keys = [[0u8; 32]; MAX_CHAIN];
-    wrap_with_core(rng, servers, round, buf, payload_len, &mut keys);
-    keys[..servers.len()].iter().map(|k| LayerKey(*k)).collect()
+    let mut keys = vec![LayerKey([0u8; 32]); servers.len()];
+    wrap_one(rng, servers, round, buf, payload_len, |layer, key| {
+        keys[layer] = LayerKey(*key);
+    });
+    keys
 }
 
 /// [`wrap_into_with`] for callers that discard the layer keys — the bulk
@@ -254,63 +247,209 @@ pub fn wrap_noise_into<R: RngCore + CryptoRng>(
     buf: &mut [u8],
     payload_len: usize,
 ) {
-    let mut keys = [[0u8; 32]; MAX_CHAIN];
-    wrap_with_core(rng, servers, round, buf, payload_len, &mut keys);
+    wrap_one(rng, servers, round, buf, payload_len, |_, _| {});
+}
+
+/// Noise-wraps **every slot of a chunk** in place: slot `i` occupies
+/// `chunk[i * stride .. i * stride + width]`, holds its payload at
+/// offset `32 * servers.len()` (where [`wrap_into`] expects it), and
+/// draws its ephemeral secrets from `rngs[i]`. Per slot, the bytes and
+/// the RNG consumption are identical to [`wrap_noise_into`] on
+/// `rngs[i]`.
+///
+/// The chunk's scalar multiplications run batched: per layer, the
+/// slots' keygens (`k·B`) and their DHs against the layer's server
+/// (`k·server_pk`) run eight at a time on the AVX-512 IFMA comb where
+/// the CPU has IFMA (the scalar comb otherwise; see
+/// [`crate::x25519::batch_kernel`]), and the final field inversions are
+/// shared across every 32 pending values of the chunk. A server without
+/// a comb table (a twist key) takes the ladder for its DHs.
+///
+/// # Panics
+///
+/// Panics if the chain exceeds [`MAX_CHAIN`] servers, if `width` is
+/// below [`wrapped_len`]`(payload_len, servers.len())` or above
+/// `stride`, or if `chunk` is too short for `rngs.len()` slots.
+pub fn wrap_noise_chunk_into<R: RngCore + CryptoRng>(
+    rngs: &mut [R],
+    servers: &[PrecomputedServer],
+    round: u64,
+    chunk: &mut [u8],
+    stride: usize,
+    width: usize,
+    payload_len: usize,
+) {
+    wrap_core(
+        Kernel::detect(),
+        rngs,
+        servers,
+        round,
+        (chunk, stride, width),
+        payload_len,
+        |_, _, _| {},
+    );
+}
+
+/// [`wrap_noise_chunk_into`] over the scalar comb, one scalar
+/// multiplication at a time — the reference the equivalence tests hold
+/// the eight-lane kernel to. Same bytes, same RNG consumption.
+///
+/// # Panics
+///
+/// As [`wrap_noise_chunk_into`].
+pub fn wrap_noise_chunk_into_reference<R: RngCore + CryptoRng>(
+    rngs: &mut [R],
+    servers: &[PrecomputedServer],
+    round: u64,
+    chunk: &mut [u8],
+    stride: usize,
+    width: usize,
+    payload_len: usize,
+) {
+    wrap_core(
+        Kernel::Scalar,
+        rngs,
+        servers,
+        round,
+        (chunk, stride, width),
+        payload_len,
+        |_, _, _| {},
+    );
 }
 
 /// Longest chain the stack-batched wrapping paths support (the paper
 /// evaluates up to 6 servers).
 pub const MAX_CHAIN: usize = 16;
 
-/// Shared core of [`wrap_into_with`] / [`wrap_noise_into`]: draws all
-/// ephemeral secrets first (the same RNG order as `wrap`), runs every
-/// layer's keygen and DH with the field inversions deferred — 2·chain_len
-/// scalar multiplications share a single inversion, the whole batch on
-/// the stack — then seals innermost-outwards in place: each layer
-/// encrypts where it stands, appends its tag, and prefixes its ephemeral
-/// key. Layer keys are written to `keys_out[..servers.len()]`.
-fn wrap_with_core<R: RngCore + CryptoRng>(
+/// Most (slot, layer) pairs one group of [`wrap_core`] holds on the
+/// stack: 32 slots for chains up to four servers, fewer for longer
+/// chains.
+const GROUP_LAYERS: usize = 4 * MAX_RESOLVE_BATCH;
+
+/// Width of one shared field inversion, from [`crate::edwards`].
+const MAX_RESOLVE_BATCH: usize = crate::edwards::MAX_RESOLVE_BATCH;
+
+/// One slot through [`wrap_core`]: the single-onion wrappers.
+fn wrap_one<R: RngCore + CryptoRng>(
     rng: &mut R,
     servers: &[PrecomputedServer],
     round: u64,
     buf: &mut [u8],
     payload_len: usize,
-    keys_out: &mut [[u8; 32]; MAX_CHAIN],
+    mut on_key: impl FnMut(usize, &[u8; 32]),
+) {
+    let width = wrapped_len(payload_len, servers.len());
+    assert!(buf.len() >= width, "wrapping needs the full onion stride");
+    let stride = buf.len();
+    wrap_core(
+        Kernel::detect(),
+        core::slice::from_mut(rng),
+        servers,
+        round,
+        (buf, stride, width),
+        payload_len,
+        |_, layer, key| on_key(layer, key),
+    );
+}
+
+/// The one onion-wrapping core behind [`wrap_into_with`],
+/// [`wrap_noise_into`] and [`wrap_noise_chunk_into`]. Per group of
+/// slots:
+///
+/// 1. each slot draws its `chain_len` ephemeral secrets from its own
+///    RNG, in layer order (the same RNG order as [`wrap`]);
+/// 2. per layer, the group's keygens and then its DHs run through
+///    [`crate::batch::combs_into`] (the ladder for an untabled server),
+///    inversions deferred; every 32 pending values, in that order,
+///    share one inversion;
+/// 3. each slot derives its layer keys and seals innermost-outwards in
+///    place: each layer encrypts where it stands, appends its tag, and
+///    prefixes its ephemeral key.
+///
+/// Slot `i` is `chunk[i * stride .. i * stride + width]`, as in
+/// [`wrap_noise_chunk_into`]; `on_key(slot, layer, key)` sees every
+/// layer key.
+fn wrap_core<R: RngCore + CryptoRng>(
+    kernel: Kernel,
+    rngs: &mut [R],
+    servers: &[PrecomputedServer],
+    round: u64,
+    (chunk, stride, width): (&mut [u8], usize, usize),
+    payload_len: usize,
+    mut on_key: impl FnMut(usize, usize, &[u8; 32]),
 ) {
     let chain_len = servers.len();
     assert!(chain_len <= MAX_CHAIN, "chain too long for stack batching");
-    let total = wrapped_len(payload_len, chain_len);
-    assert!(buf.len() >= total, "wrapping needs the full onion stride");
-
+    assert!(
+        width >= wrapped_len(payload_len, chain_len) && width <= stride,
+        "each slot needs the full onion width"
+    );
+    let count = rngs.len();
+    if chain_len == 0 || count == 0 {
+        return;
+    }
+    assert!(
+        chunk.len() >= (count - 1) * stride + width,
+        "chunk too short for its slots"
+    );
     let nonce = round_nonce(round, Direction::Request);
-    let mut secret_bytes = [[0u8; 32]; MAX_CHAIN];
-    for secret in secret_bytes.iter_mut().take(chain_len) {
-        rng.fill_bytes(secret);
-    }
-    let mut pending = [crate::edwards::PendingU::PLACEHOLDER; 2 * MAX_CHAIN];
-    for (i, server) in servers.iter().enumerate() {
-        let secret = SecretKey::from_bytes(secret_bytes[i]);
-        pending[2 * i] = crate::x25519::x25519_base_pending(secret.as_bytes());
-        pending[2 * i + 1] = server.shared_with_pending(&secret);
-    }
-    let mut resolved = [[0u8; 32]; 2 * MAX_CHAIN];
-    crate::x25519::resolve_pending_into(&pending[..2 * chain_len], &mut resolved[..2 * chain_len]);
+    let group = (GROUP_LAYERS / chain_len).min(MAX_RESOLVE_BATCH);
 
-    for (i, server) in servers.iter().enumerate() {
-        let eph_public = PublicKey::from_bytes(resolved[2 * i]);
-        let shared = SharedSecret(resolved[2 * i + 1]);
-        keys_out[i] = layer_key_from_shared(&shared, &eph_public, &server.public)
-            .expect("freshly generated ephemeral key cannot be low-order")
-            .0;
-    }
+    for first in (0..count).step_by(group) {
+        let n = (count - first).min(group);
+        // Layer `l`'s secret for slot `j` is `secrets[l * n + j]`.
+        let mut secrets = [[0u8; 32]; GROUP_LAYERS];
+        for (j, rng) in rngs[first..first + n].iter_mut().enumerate() {
+            for layer in 0..chain_len {
+                rng.fill_bytes(&mut secrets[layer * n + j]);
+            }
+        }
 
-    let mut start = 32 * chain_len;
-    let mut content_len = payload_len;
-    for i in (0..chain_len).rev() {
-        let sealed = aead::seal_in_place(&keys_out[i], &nonce, &[], &mut buf[start..], content_len);
-        buf[start - 32..start].copy_from_slice(&resolved[2 * i]);
-        start -= 32;
-        content_len = sealed + 32;
+        // Layer `l` fills pending[2ln .. 2ln + n] with the keygens and
+        // pending[2ln + n .. 2(l+1)n] with the DHs.
+        let mut pending = [crate::edwards::PendingU::PLACEHOLDER; 2 * GROUP_LAYERS];
+        for (layer, server) in servers.iter().enumerate() {
+            let k = |j: usize| crate::x25519::clamp(secrets[layer * n + j]);
+            let (keygens, dhs) = pending[2 * layer * n..2 * (layer + 1) * n].split_at_mut(n);
+            crate::batch::combs_into(kernel, crate::edwards::base_table(), k, keygens);
+            match &server.table {
+                Some(table) => crate::batch::combs_into(kernel, table.table(), k, dhs),
+                None => {
+                    let us = [server.public.0; MAX_RESOLVE_BATCH];
+                    crate::batch::ladders_into(kernel, k, &us[..n], dhs);
+                }
+            }
+        }
+        let total = 2 * chain_len * n;
+        let mut resolved = [[0u8; 32]; 2 * GROUP_LAYERS];
+        for (p, out) in pending[..total]
+            .chunks(MAX_RESOLVE_BATCH)
+            .zip(resolved[..total].chunks_mut(MAX_RESOLVE_BATCH))
+        {
+            crate::x25519::resolve_pending_into(p, out);
+        }
+
+        for j in 0..n {
+            let slot = &mut chunk[(first + j) * stride..][..width];
+            let mut start = 32 * chain_len;
+            let mut content_len = payload_len;
+            for (layer, server) in servers.iter().enumerate().rev() {
+                let eph_public = resolved[2 * layer * n + j];
+                let shared = SharedSecret(resolved[2 * layer * n + n + j]);
+                let key = layer_key_from_shared(
+                    &shared,
+                    &PublicKey::from_bytes(eph_public),
+                    &server.public,
+                )
+                .expect("freshly generated ephemeral key cannot be low-order");
+                on_key(first + j, layer, &key.0);
+                let sealed =
+                    aead::seal_in_place(&key.0, &nonce, &[], &mut slot[start..], content_len);
+                slot[start - 32..start].copy_from_slice(&eph_public);
+                start -= 32;
+                content_len = sealed + 32;
+            }
+        }
     }
 }
 
@@ -743,6 +882,114 @@ mod tests {
             assert_eq!(buf, reference, "chain_len {chain_len}");
             for (a, b) in keys.iter().zip(ref_keys.iter()) {
                 assert_eq!(a.0, b.0);
+            }
+        }
+    }
+
+    /// Wraps `count` payloads for `servers` through [`wrap_core`] on
+    /// `kernel`, one seeded RNG per slot, and holds every slot to the
+    /// reference [`wrap`] on a clone of the same RNG: the bytes, and the
+    /// RNG state afterwards.
+    fn assert_chunk_matches_wrap(kernel: Kernel, servers: &[PrecomputedServer], count: usize) {
+        let pks: Vec<PublicKey> = servers.iter().map(|s| s.public).collect();
+        let chain_len = servers.len();
+        let payload_len = 21;
+        let width = wrapped_len(payload_len, chain_len);
+        let stride = width + 5;
+        let mut rngs: Vec<StdRng> = (0..count)
+            .map(|i| StdRng::seed_from_u64(5_000 + 97 * i as u64 + chain_len as u64))
+            .collect();
+        let mut reference_rngs = rngs.clone();
+        let mut chunk = vec![0xEEu8; count * stride - 5];
+        let mut want = Vec::new();
+        for (i, rng) in reference_rngs.iter_mut().enumerate() {
+            let payload: Vec<u8> = (0..payload_len).map(|b| (b * 7 + i) as u8).collect();
+            let offset = i * stride + 32 * chain_len;
+            chunk[offset..offset + payload_len].copy_from_slice(&payload);
+            want.push(wrap(rng, &pks, 17, &payload).0);
+        }
+        wrap_core(
+            kernel,
+            &mut rngs,
+            servers,
+            17,
+            (&mut chunk, stride, width),
+            payload_len,
+            |_, _, _| {},
+        );
+        for (i, (rng, reference_rng)) in rngs.iter_mut().zip(&mut reference_rngs).enumerate() {
+            let slot = &chunk[i * stride..i * stride + width];
+            assert_eq!(
+                slot,
+                &want[i][..],
+                "{kernel:?} chain {chain_len} count {count} slot {i}"
+            );
+            assert_eq!(
+                rng.next_u64(),
+                reference_rng.next_u64(),
+                "{kernel:?} chain {chain_len} count {count} slot {i}: RNG state"
+            );
+            if i + 1 < count {
+                // The stride's headroom is left alone.
+                assert!(chunk[i * stride + width..(i + 1) * stride]
+                    .iter()
+                    .all(|&b| b == 0xEE));
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_noise_chunk_matches_per_slot_wrap() {
+        // Chains 1–4 keep 32-slot groups; chain 5 groups 25 slots and
+        // chain 16 (MAX_CHAIN) groups 8, so 40 slots cross group
+        // boundaries at every length. The forced scalar comb stays under
+        // test on CPUs that pick IFMA.
+        let mut rng = StdRng::seed_from_u64(93);
+        let keys = chain(MAX_CHAIN, &mut rng);
+        let servers: Vec<PrecomputedServer> = keys
+            .iter()
+            .map(|kp| PrecomputedServer::new(kp.public))
+            .collect();
+        for (chain_len, counts) in [
+            (1usize, &[1usize, 2, 7, 8, 9, 31, 32, 33, 40][..]),
+            (2, &[1, 3, 16, 32, 40]),
+            (3, &[5, 32, 33]),
+            (4, &[9, 40]),
+            (5, &[24, 25, 26, 40]),
+            (MAX_CHAIN, &[1, 9, 17]),
+        ] {
+            for &count in counts {
+                for kernel in [Kernel::Ifma8, Kernel::Scalar] {
+                    assert_chunk_matches_wrap(kernel, &servers[..chain_len], count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_noise_chunk_falls_back_to_the_ladder_for_twist_keys() {
+        // A server key on the quadratic twist has no comb table; its DHs
+        // take the ladder, batched like the peel path, and the bytes
+        // still match the reference.
+        let mut rng = StdRng::seed_from_u64(94);
+        let twist = loop {
+            let mut u = [0u8; 32];
+            rng.fill_bytes(&mut u);
+            u[31] &= 0x7f;
+            if DhTable::new(&PublicKey(u)).is_none() {
+                break PublicKey(u);
+            }
+        };
+        let honest = chain(2, &mut rng);
+        let servers = vec![
+            PrecomputedServer::new(honest[0].public),
+            PrecomputedServer::new(twist),
+            PrecomputedServer::new(honest[1].public),
+        ];
+        assert!(servers[1].table.is_none());
+        for count in [1, 2, 9, 33] {
+            for kernel in [Kernel::Ifma8, Kernel::Fe4, Kernel::Scalar] {
+                assert_chunk_matches_wrap(kernel, &servers, count);
             }
         }
     }

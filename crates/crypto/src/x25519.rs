@@ -145,10 +145,13 @@ impl Keypair {
 
 /// A precomputed Diffie-Hellman accelerator for one long-lived public
 /// key: `DhTable::new(pk)` builds an Edwards comb table once, after which
-/// [`DhTable::diffie_hellman`] computes `sk · pk` ~3–6× faster than the
-/// ladder, bit-identically. Mix servers keep one per downstream server so
-/// cover-traffic wrapping (a fresh ephemeral scalar against the same
-/// server keys, thousands of times per round) runs at comb speed.
+/// [`DhTable::diffie_hellman`] computes `sk · pk` with the scalar comb,
+/// bit-identically to the ladder. Mix servers keep one per downstream
+/// server so cover-traffic wrapping (a fresh ephemeral scalar against the
+/// same server keys, thousands of times per round) runs at comb speed:
+/// the bulk noise path ([`crate::onion::wrap_noise_chunk_into`]) walks
+/// eight scalars at a time over this table on AVX-512 IFMA, and the
+/// scalar comb elsewhere (see [`batch_kernel`]).
 ///
 /// Construction returns `None` for u-coordinates on the curve's
 /// quadratic twist (the Edwards form cannot represent them); callers fall
@@ -171,18 +174,10 @@ impl DhTable {
         SharedSecret(self.inner.scalarmult_u(&clamp(sk.0)))
     }
 
-    /// `sk · pk` with the final field inversion deferred, for batch
-    /// resolution via [`resolve_pending`].
-    pub(crate) fn diffie_hellman_pending(&self, sk: &SecretKey) -> crate::edwards::PendingU {
-        self.inner.scalarmult_pending(&clamp(sk.0))
+    /// The comb table, for the batched onion wrapper.
+    pub(crate) fn table(&self) -> &crate::edwards::PointTable {
+        &self.inner
     }
-}
-
-/// `X25519(scalar, 9)` with the final field inversion deferred; resolve
-/// with [`resolve_pending`]. Crate-internal: the onion wrapper batches
-/// one onion's keygens and DHs into a single inversion.
-pub(crate) fn x25519_base_pending(scalar: &[u8; 32]) -> crate::edwards::PendingU {
-    crate::edwards::scalarmult_base_pending(&clamp(*scalar))
 }
 
 /// Resolves deferred scalar-multiplication results into `out` with one
@@ -203,9 +198,10 @@ pub(crate) fn clamp(mut k: [u8; 32]) -> [u8; 32] {
 
 /// Fixed-base X25519: computes `X25519(scalar, 9)` (public-key
 /// derivation / ephemeral keygen) via the precomputed Edwards comb table
-/// in [`crate::edwards`] — ~3× fewer field multiplications than running
+/// in [`crate::edwards`] — about a fifth of the field multiplications of
 /// the general [`x25519`] ladder against the base point. Bit-identical
-/// results to `x25519(scalar, &BASE_POINT)`.
+/// results to `x25519(scalar, &BASE_POINT)`. One scalar at a time; the
+/// noise wrapper runs eight per AVX-512 IFMA call instead.
 #[must_use]
 pub fn x25519_base(scalar: &[u8; 32]) -> [u8; 32] {
     crate::edwards::scalarmult_base_u(&clamp(*scalar))
@@ -221,10 +217,19 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     out[0]
 }
 
-/// The kernel [`x25519_batch`] and the onion peeler run on this CPU:
-/// `"ifma8"` (eight ladders per AVX-512 IFMA call) or `"fe4"` (four per
-/// [`crate::fe4::Fe4`] call). CPU feature detection is the only
-/// selector; see [`crate::batch`].
+/// The batch kernel this CPU runs: `"ifma8"` or `"fe4"`. One CPU check
+/// selects both batch paths:
+///
+/// * the variable-base ladder of [`x25519_batch`] and the onion peeler
+///   ([`crate::onion::peel_chunk_in_place`]): eight ladders per AVX-512
+///   IFMA call on `"ifma8"`, four per [`crate::fe4::Fe4`] call on
+///   `"fe4"`;
+/// * the fixed-point comb of the noise wrapper
+///   ([`crate::onion::wrap_noise_chunk_into`]), for its keygens and its
+///   DHs against server keys: eight comb walks per AVX-512 IFMA call on
+///   `"ifma8"`, the scalar comb on `"fe4"`.
+///
+/// CPU feature detection is the only selector; see [`crate::batch`].
 #[must_use]
 pub fn batch_kernel() -> &'static str {
     crate::batch::Kernel::detect().name()

@@ -237,7 +237,7 @@ mod in_place {
 
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use vuvuzela_crypto::x25519::{Keypair, PublicKey};
     use vuvuzela_crypto::{aead, onion};
 
@@ -323,6 +323,61 @@ mod in_place {
                 reference_onion = ref_inner;
             }
             prop_assert_eq!(&flat[..width], &payload[..]);
+        }
+
+        /// The chunk noise wrapper, on the CPU's kernel and on the
+        /// forced scalar comb, must give every slot the reference
+        /// `onion::wrap` bytes for the same child RNG and leave that RNG
+        /// in the same state. Chains 1–4 and 1–40 slots cross full and
+        /// padded comb octets and the 32-slot group boundary.
+        #[test]
+        fn noise_chunk_wrap_matches_per_slot_reference(
+            chain_len in 1usize..=4,
+            count in 1usize..=40,
+            round in any::<u64>(),
+            payload_len in 0usize..80,
+            headroom in 0usize..9,
+            seed in any::<u64>(),
+        ) {
+            let mut key_rng = StdRng::seed_from_u64(seed);
+            let pks: Vec<PublicKey> =
+                (0..chain_len).map(|_| Keypair::generate(&mut key_rng).public).collect();
+            let servers: Vec<onion::PrecomputedServer> =
+                pks.iter().map(|pk| onion::PrecomputedServer::new(*pk)).collect();
+            let width = onion::wrapped_len(payload_len, chain_len);
+            let stride = width + headroom;
+
+            let mut chunk = vec![0u8; count * stride];
+            let mut want = Vec::new();
+            let mut reference_rngs = Vec::new();
+            let rngs: Vec<StdRng> =
+                (0..count).map(|i| StdRng::seed_from_u64(seed ^ ((i as u64 + 1) << 20))).collect();
+            for (i, rng) in rngs.iter().enumerate() {
+                let payload: Vec<u8> = (0..payload_len).map(|_| key_rng.gen()).collect();
+                let offset = i * stride + 32 * chain_len;
+                chunk[offset..offset + payload_len].copy_from_slice(&payload);
+                let mut reference_rng = rng.clone();
+                want.push(onion::wrap(&mut reference_rng, &pks, round, &payload).0);
+                reference_rngs.push(reference_rng);
+            }
+
+            let mut fast = (chunk.clone(), rngs.clone());
+            onion::wrap_noise_chunk_into(
+                &mut fast.1, &servers, round, &mut fast.0, stride, width, payload_len);
+            let mut scalar = (chunk, rngs);
+            onion::wrap_noise_chunk_into_reference(
+                &mut scalar.1, &servers, round, &mut scalar.0, stride, width, payload_len);
+
+            for (name, (bytes, mut rngs)) in [("detected", fast), ("scalar", scalar)] {
+                for (i, rng) in rngs.iter_mut().enumerate() {
+                    prop_assert_eq!(
+                        &bytes[i * stride..i * stride + width], &want[i][..],
+                        "{} kernel slot {}", name, i);
+                    prop_assert_eq!(
+                        rng.next_u64(), reference_rngs[i].clone().next_u64(),
+                        "{} kernel slot {} RNG state", name, i);
+                }
+            }
         }
 
         /// The batched-ladder chunk peel must classify and transform

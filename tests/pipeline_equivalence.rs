@@ -67,7 +67,7 @@ proptest! {
     fn flat_pipeline_equals_reference(
         chain_len in 1usize..=3,
         clients in 0usize..12,
-        mu in 0u32..6,
+        mu in 0u32..48,
         seed in any::<u64>(),
         corrupt in proptest::collection::vec(any::<(u16, u8)>(), 0..3),
     ) {
@@ -129,7 +129,7 @@ proptest! {
     fn dialing_forward_equals_reference(
         chain_len in 1usize..=3,
         clients in 0usize..8,
-        num_drops in 1u32..4,
+        num_drops in 1u32..24,
         seed in any::<u64>(),
     ) {
         let round = 9u64;

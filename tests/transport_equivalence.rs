@@ -205,11 +205,14 @@ fn overfill_entry(chain_len: usize, extra: usize) -> Error {
     // The dummy tail drains exactly the admitted rounds but never
     // answers, so the entry's window can only fill, never drain:
     // admission behaviour is a pure function of the client's sends.
+    // The drain hands its end back instead of dropping it, so the entry
+    // never sees its downstream hang up before the rejection.
     let window = chain_len.max(1);
     let drain = std::thread::spawn(move || {
         for _ in 0..window {
             dummy.recv().expect("forwarded round");
         }
+        dummy
     });
     let entry_clients: Arc<dyn Transport> = Arc::new(entry_clients);
     let entry_down: Arc<dyn Transport> = Arc::new(entry_down);
@@ -243,7 +246,7 @@ fn overfill_entry(chain_len: usize, extra: usize) -> Error {
         .expect("entry thread")
         .expect_err("overfilled entry must reject");
     drop(client_end);
-    drain.join().expect("drain thread");
+    drop(drain.join().expect("drain thread"));
     err
 }
 
